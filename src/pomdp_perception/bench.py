@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pbvi import backup, initialize_value, sample_beliefs_uniform, solve
+from .pbvi import sample_beliefs_uniform, solve
 from .pomdp import Belief, InfoSource, Pomdp
 from .selection import (
     GREEDY_GUARANTEE,
@@ -109,13 +109,11 @@ def evaluate_instance(
     base_seed: int,
     index: int,
     config: BenchConfig = BenchConfig(),
-    one_backup_value_check: bool = False,
-) -> BenchRow | tuple[BenchRow, bool]:
+) -> BenchRow:
     """Run all three guarantee checks on the instance (base_seed, index).
 
     The value-loss check uses a fully solved value function on the instance's
-    random model; with one_backup_value_check the same check also runs against
-    a single-backup value function and its verdict is returned alongside.
+    random model.
     """
     rng = np.random.default_rng([base_seed, index])
     num_states = int(rng.integers(2, config.max_states + 1))
@@ -136,7 +134,7 @@ def evaluate_instance(
     vf = solve(pomdp, points, tol=config.solver_tol, max_iter=config.solver_max_iter).value_function
     value_report = check_value_bound(vf, problem, prior, pomdp, greedy=greedy, optimal=optimal)
 
-    row = BenchRow(
+    return BenchRow(
         seed=index,
         n=problem.num_sources,
         budget=problem.budget,
@@ -147,11 +145,6 @@ def evaluate_instance(
         theorem2_pass=distance.passed,
         theorem3_pass=value_report.passed,
     )
-    if not one_backup_value_check:
-        return row
-    vf1 = backup(pomdp, initialize_value(pomdp), points)
-    one_backup = check_value_bound(vf1, problem, prior, pomdp, greedy=greedy, optimal=optimal)
-    return row, one_backup.passed
 
 
 def run_bench(

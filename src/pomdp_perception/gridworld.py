@@ -311,6 +311,11 @@ def _select_sources(
     sources: Sequence[InfoSource],
     rng: np.random.Generator,
 ) -> PerceptionAction:
+    """Sources to query this step; k caps their summed cost under every policy.
+
+    `random` draws up to k distinct sources among those costing at most k and
+    keeps them, in draw order, while their summed cost stays within k.
+    """
     if policy == "none" or k <= 0 or not sources:
         return PerceptionAction.empty()
     if policy == "random":
@@ -318,7 +323,14 @@ def _select_sources(
         if not affordable:
             return PerceptionAction.empty()
         picks = rng.choice(len(affordable), size=min(k, len(affordable)), replace=False)
-        return PerceptionAction(tuple(affordable[int(i)] for i in picks))
+        kept: list[int] = []
+        spent = 0.0
+        for pick in picks:
+            spent += sources[affordable[int(pick)]].cost
+            if spent > k:
+                break
+            kept.append(affordable[int(pick)])
+        return PerceptionAction(tuple(kept))
     if policy == "greedy":
         problem = SelectionProblem(
             belief=belief, action=action, sources=tuple(sources), budget=float(k)
@@ -342,7 +354,9 @@ def run_episode(
     collect the discounted reward, sample the transition and the intrinsic
     observation, update the belief, then query sources per the perception
     policy and fold their sampled reports into the belief.  Terminates on
-    reaching the goal (checked before acting) or at the horizon.
+    reaching the goal (checked before acting) or at the horizon.  k is the
+    per-step cost budget of the queried sources, for the random policy as
+    for the greedy one.
 
     Transitions, intrinsic observations, auxiliary reports, and the random
     policy draw from four independent streams spawned from `seed`, so the

@@ -8,6 +8,14 @@ sources, the greedy pick with beta=1 is guaranteed a (1 - 1/sqrt(e)) fraction
 of the exhaustive optimum.  Exhaustive baselines and empirical checks of the
 induced belief-distance and value-loss bounds live here too.
 
+The greedy scheme scores only candidates the remaining budget can still pay
+for: budgets only shrink, so a candidate dropped for its cost would never be
+added.  It keeps the chosen set's joint table p(outcome, state) over the
+reachable outcomes only, extends it by one source per pick, and scores each
+round's candidates in one vectorized pass.  Ratios (and singleton entropies)
+within 1e-12 of the best count as tied, and ties go to the lowest source
+index, so rounding never decides an exact tie.
+
 All entropies are in nats.  Conditional entropies enumerate the joint outcome
 alphabet of the chosen sources, so subset sizes are limited by `joint_cap`.
 """
@@ -56,6 +64,9 @@ GREEDY_GUARANTEE = 1.0 - math.exp(-0.5)
 _MI_CLAMP = 1e-12
 # Slack for the empirical inequality checks.
 _BOUND_SLACK = 1e-9
+# Greedy ratios and singleton entropies this close count as tied; the lowest
+# source index wins a tie.
+_TIE_TOL = 1e-12
 
 
 class JointAlphabetTooLarge(RuntimeError):
@@ -115,9 +126,8 @@ class SelectionOutcome:
 
 
 def _xlogx(arr: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(arr)
-    mask = arr > 0.0
-    out[mask] = arr[mask] * np.log(arr[mask])
+    out = np.log(arr, out=np.zeros_like(arr), where=arr > 0.0)
+    out *= arr
     return out
 
 
@@ -149,6 +159,13 @@ def _joint_weights(slices: list[np.ndarray], num_states: int, joint_cap: int) ->
     return weights
 
 
+def _conditional_entropy_of(joint: np.ndarray) -> np.ndarray:
+    """H(state | outcome) = H(outcome, state) - H(outcome) of joint tables
+    p(outcome, state) of shape (..., J, S), one value per leading index."""
+    outcome = joint.sum(axis=-1)
+    return _xlogx(outcome).sum(axis=-1) - _xlogx(joint).sum(axis=(-2, -1))
+
+
 def conditional_entropy(
     problem: SelectionProblem,
     subset: PerceptionAction,
@@ -162,9 +179,7 @@ def conditional_entropy(
     weights = _joint_weights(
         _likelihood_slices(problem, subset), problem.belief.num_states, joint_cap
     )
-    joint = weights * problem.belief.probs[None, :]     # p(outcome, state)
-    outcome = joint.sum(axis=1)                          # p(outcome)
-    return float(_xlogx(outcome).sum() - _xlogx(joint).sum())
+    return float(_conditional_entropy_of(weights * problem.belief.probs[None, :]))
 
 
 def mutual_information(
@@ -195,47 +210,74 @@ def marginal_gain(
     )
 
 
+def _first_within_tol(values: np.ndarray) -> int:
+    """Lowest index whose value is within _TIE_TOL of the maximum."""
+    return int(np.argmax(values >= values.max() - _TIE_TOL))
+
+
 def generalized_greedy(
     problem: SelectionProblem,
     joint_cap: int = DEFAULT_JOINT_CAP,
 ) -> SelectionOutcome:
     """Cost-scaled greedy selection with a best-singleton fallback.
 
-    Repeatedly picks the candidate maximizing (entropy drop) / cost**beta,
-    adds it when the budget still permits, and removes it from the pool either
-    way, until the pool is exhausted.  The result is whichever of the
-    constructed subset and the best affordable singleton leaves the lower
-    conditional entropy.  Argmax ties keep the lowest source index.  If no
-    single source is affordable the empty selection is returned.
+    Repeatedly picks the candidate maximizing (entropy drop) / cost**beta and
+    adds it, until no candidate is left.  Before each round every candidate
+    the remaining budget cannot cover leaves the pool; this is the paper's
+    rule (pick the argmax, add it if the budget permits, drop it either way)
+    without the rounds that would drop an unaffordable argmax and change
+    nothing.  The result is whichever of the constructed subset and the best
+    affordable singleton leaves the lower conditional entropy; the singleton
+    entropies are the first round's scores.  If no single source is
+    affordable the empty selection is returned.
+
+    The chosen set's joint table p(outcome, state) keeps only outcomes of
+    positive probability and grows by one source per pick; each round scores
+    all candidates at once, each alphabet padded to the widest with outcomes
+    of zero probability.  Every scored subset's full joint alphabet must stay
+    within `joint_cap`.  Ratios within 1e-12 of the best go to the lowest source
+    index, the constructed subset wins a tie with the best singleton, and the
+    lowest index wins a tie between singletons.
     """
-    costs = [src.cost for src in problem.sources]
-    pool = list(range(problem.num_sources))
+    sources = problem.sources
+    num_states = problem.belief.num_states
+    costs = [src.cost for src in sources]
+    sizes = [src.num_symbols for src in sources]
+    scaled_costs = np.array(costs) ** problem.beta
+    # likelihoods[j, y, s] = p(source j reports y | state s); zero-padded.
+    likelihoods = np.zeros((len(sources), max(sizes, default=0), num_states))
+    for j, src in enumerate(sources):
+        likelihoods[j, : sizes[j]] = src.likelihood[:, problem.action, :].T
+
+    affordable = [j for j in range(len(sources)) if costs[j] <= problem.budget]
+    pool = affordable
     chosen: list[int] = []
     chosen_cost = 0.0
-    h_chosen = conditional_entropy(problem, PerceptionAction.empty(), joint_cap)
+    chosen_alphabet = 1
+    table = problem.belief.probs[None, :]       # p(outcome, state) of `chosen`
+    h_chosen = float(_conditional_entropy_of(table))
+    h_singles = np.empty(0)
     while pool:
-        ratios = np.empty(len(pool))
-        entropies = np.empty(len(pool))
-        for slot, j in enumerate(pool):
-            h_j = conditional_entropy(problem, PerceptionAction(tuple(chosen) + (j,)), joint_cap)
-            entropies[slot] = h_j
-            ratios[slot] = (h_chosen - h_j) / costs[j] ** problem.beta
-        slot = int(np.argmax(ratios))
+        if chosen_alphabet * max(sizes[j] for j in pool) > joint_cap:
+            raise JointAlphabetTooLarge(f"joint alphabet needs more than {joint_cap} outcomes")
+        joint = table[None, :, None, :] * likelihoods[pool][:, None, :, :]
+        h = _conditional_entropy_of(joint.reshape(len(pool), -1, num_states))
+        if not chosen:
+            h_singles = h
+        slot = _first_within_tol((h_chosen - h) / scaled_costs[pool])
         j_star = pool[slot]
-        if chosen_cost + costs[j_star] <= problem.budget:
-            chosen.append(j_star)
-            chosen_cost += costs[j_star]
-            h_chosen = float(entropies[slot])
-        pool.pop(slot)
+        chosen.append(j_star)
+        chosen_cost += costs[j_star]
+        chosen_alphabet *= sizes[j_star]
+        h_chosen = float(h[slot])
+        extended = joint[slot].reshape(-1, num_states)
+        table = extended[extended.any(axis=1)]
+        pool = [j for j in pool if j != j_star and chosen_cost + costs[j] <= problem.budget]
 
-    affordable = [j for j in range(problem.num_sources) if costs[j] <= problem.budget]
     if not affordable:
         return SelectionOutcome(PerceptionAction.empty(), 0.0, 0.0)
-    h_singles = [
-        conditional_entropy(problem, PerceptionAction((j,)), joint_cap) for j in affordable
-    ]
-    best_single = affordable[int(np.argmin(h_singles))]
-    if h_chosen <= min(h_singles):
+    best_single = affordable[_first_within_tol(-h_singles)]
+    if h_chosen <= h_singles.min() + _TIE_TOL:
         picked = PerceptionAction(tuple(chosen))
         picked_cost = chosen_cost
     else:

@@ -167,6 +167,54 @@ def oracle_marginal_gain_closed_form(
     return (h_joint - h_subset) - h_j_given_state
 
 
+def oracle_greedy(
+    belief: np.ndarray,
+    slices: list[np.ndarray],
+    costs: list[float],
+    budget: float,
+    beta: float = 1.0,
+    tie_tol: float = 1e-12,
+) -> tuple[int, ...]:
+    """The paper's cost-scaled greedy rule, scoring every candidate each round.
+
+    A round takes the candidate with the best entropy drop per cost**beta
+    (ratios within tie_tol of the best go to the lowest index), adds it if
+    the budget still pays for it and drops it from the pool either way.  The
+    answer is the built set or the best affordable singleton, whichever
+    leaves the lower conditional entropy; the built set wins a tie, and the
+    lowest index wins a tie between singletons.  States outside the belief's
+    support carry no weight, so they are left out before enumerating.
+    """
+    support = [s for s in range(belief.size) if belief[s] > 0.0]
+    prior = np.array([belief[s] for s in support])
+    columns = [np.array([sl[s] for s in support]) for sl in slices]
+
+    def h(subset):
+        return oracle_conditional_entropy(prior, [columns[i] for i in subset])
+
+    pool = list(range(len(slices)))
+    chosen: list[int] = []
+    spent = 0.0
+    h_chosen = h([])
+    while pool:
+        scores = [(h_chosen - h(chosen + [j])) / costs[j] ** beta for j in pool]
+        best = max(scores)
+        slot = next(i for i, score in enumerate(scores) if score >= best - tie_tol)
+        j_star = pool.pop(slot)
+        if spent + costs[j_star] <= budget:
+            chosen.append(j_star)
+            spent += costs[j_star]
+            h_chosen = h(chosen)
+    affordable = [j for j in range(len(slices)) if costs[j] <= budget]
+    if not affordable:
+        return ()
+    singles = [h([j]) for j in affordable]
+    lowest = min(singles)
+    if h_chosen <= lowest + tie_tol:
+        return tuple(chosen)
+    return (next(j for j, h_j in zip(affordable, singles) if h_j <= lowest + tie_tol),)
+
+
 # ---------------------------------------------------------------------------
 # Planning oracles
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Scenario construction, the navigation model, UAV sources, and rollouts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from pomdp_perception import (
     conditional_entropy,
     default_scenario,
     entropy,
+    initialize_value,
     monte_carlo,
     mutual_information,
     read_scenario_file,
@@ -306,6 +309,24 @@ def test_episode_rejects_bad_arguments(tiny_solution):
         run_episode(pomdp, vf, scenario, "psychic", 1, seed=0)
     with pytest.raises(ValueError, match="budget"):
         run_episode(pomdp, vf, scenario, "greedy", scenario.budget + 1, seed=0)
+
+
+def test_random_policy_respects_the_cost_budget():
+    # k is a cost budget: one UAV of cost 1.5 fits in k=2, two do not.
+    stock = default_scenario()
+    pricey = dataclasses.replace(
+        stock, uavs=tuple(dataclasses.replace(uav, cost=1.5) for uav in stock.uavs)
+    )
+    pomdp = build_pomdp(stock)
+    vf = initialize_value(pomdp)
+    for seed in range(3):
+        record = run_episode(pomdp, vf, pricey, "random", 2, seed=seed)
+        assert record.steps and all(len(step.selected) == 1 for step in record.steps)
+        unit = run_episode(pomdp, vf, stock, "random", 2, seed=seed)
+        assert all(len(step.selected) == 2 for step in unit.steps)
+        # The same draw: the kept source is the first of the unit-cost pair.
+        for cheap, dear in zip(unit.steps, record.steps):
+            assert dear.selected.selected == cheap.selected.selected[:1]
 
 
 def test_episode_records_zero_likelihood_as_failure(tiny_solution, monkeypatch):

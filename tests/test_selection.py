@@ -17,6 +17,7 @@ from pomdp_perception import (
     check_distance_bound,
     check_value_bound,
     conditional_entropy,
+    default_scenario,
     entropy,
     generalized_greedy,
     initialize_value,
@@ -25,9 +26,11 @@ from pomdp_perception import (
     mutual_information,
     sample_beliefs_uniform,
     solve,
+    uav_sources_at,
 )
 from helpers import (
     oracle_conditional_entropy,
+    oracle_greedy,
     oracle_marginal_gain_closed_form,
     oracle_mutual_information_kl,
     random_belief,
@@ -260,6 +263,103 @@ def test_greedy_respects_budget_and_beats_guarantee():
         assert greedy.utility >= 0.0
         optimal = brute_force_optimal(problem)
         assert greedy.utility >= GREEDY_GUARANTEE * optimal.utility - 1e-9
+
+
+def greedy_agrees_with_oracle(problem):
+    expected = oracle_greedy(
+        problem.belief.probs,
+        slices(problem, range(problem.num_sources)),
+        [src.cost for src in problem.sources],
+        problem.budget,
+        problem.beta,
+    )
+    assert tuple(generalized_greedy(problem).selected) == expected
+
+
+def test_greedy_matches_plain_loop_oracle_on_random_problems():
+    rng = np.random.default_rng(24)
+    for _ in range(150):
+        problem = make_problem(
+            rng, num_states=int(rng.integers(2, 6)), num_sources=int(rng.integers(1, 7))
+        )
+        if rng.random() < 0.5:
+            problem = SelectionProblem(
+                belief=problem.belief,
+                action=0,
+                sources=problem.sources,
+                budget=problem.budget,
+                beta=float(rng.uniform(0.3, 2.5)),
+            )
+        greedy_agrees_with_oracle(problem)
+
+
+def test_greedy_matches_plain_loop_oracle_with_twins_and_point_masses():
+    rng = np.random.default_rng(25)
+    for _ in range(40):
+        num_states = int(rng.integers(2, 5))
+        base = random_sources(rng, num_states, 1, int(rng.integers(1, 4)))
+        sources = base + base                      # every source offered twice
+        if rng.random() < 0.5:
+            belief = Belief.point_mass(num_states, int(rng.integers(num_states)))
+        else:
+            belief = random_belief(rng, num_states)
+        total = sum(src.cost for src in sources)
+        problem = SelectionProblem(
+            belief=belief,
+            action=0,
+            sources=sources,
+            budget=float(rng.uniform(0.2, 0.8) * total),
+            beta=float(rng.choice([0.5, 1.0, 2.0])),
+        )
+        greedy_agrees_with_oracle(problem)
+
+
+def test_greedy_matches_plain_loop_oracle_on_the_stock_map():
+    # Beliefs on a few cells or one cell: most UAVs then say "not seen" with
+    # certainty and tie at zero gain.
+    scenario = default_scenario()
+    rng = np.random.default_rng(26)
+    for t in range(4):
+        sources = tuple(uav_sources_at(scenario, t))
+        for size in (1, 2, 4):
+            probs = np.zeros(scenario.num_cells)
+            support = rng.choice(scenario.num_cells, size=size, replace=False)
+            probs[support] = rng.dirichlet(np.ones(size))
+            problem = SelectionProblem(
+                belief=Belief(probs), action=int(rng.integers(5)), sources=sources, budget=2.0
+            )
+            greedy_agrees_with_oracle(problem)
+
+
+def test_greedy_point_mass_tie_goes_to_the_lowest_indices():
+    # Every source has zero gain on a point mass; the exact tie must go to
+    # the lowest indices, not to rounding in the entropies.
+    scenario = default_scenario()
+    problem = SelectionProblem(
+        belief=Belief.point_mass(scenario.num_cells, 2),
+        action=0,
+        sources=tuple(uav_sources_at(scenario, 0)),
+        budget=2.0,
+    )
+    assert generalized_greedy(problem).selected == PerceptionAction((0, 1))
+
+
+def test_greedy_scores_only_affordable_subsets_under_joint_cap():
+    # Pairs of stock-map UAVs have at most 10 x 10 joint outcomes; budget 2
+    # pays for no triple, so greedy never needs a larger alphabet.
+    scenario = default_scenario()
+    rng = np.random.default_rng(27)
+    problem = SelectionProblem(
+        belief=random_belief(rng, scenario.num_cells),
+        action=1,
+        sources=tuple(uav_sources_at(scenario, 0)),
+        budget=2.0,
+    )
+    capped = generalized_greedy(problem, joint_cap=100)
+    assert capped == generalized_greedy(problem)
+    assert len(capped.selected) == 2
+    with pytest.raises(JointAlphabetTooLarge):
+        conditional_entropy(problem, PerceptionAction((0, 1, 2)), joint_cap=100)
 
 
 def test_greedy_propagates_joint_cap():
