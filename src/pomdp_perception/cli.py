@@ -14,6 +14,7 @@ import sys
 
 from . import bench
 from .gridworld import (
+    PERCEPTION_POLICIES,
     InvalidScenario,
     Scenario,
     build_pomdp,
@@ -70,7 +71,7 @@ def _parse_policies(text: str, default_k: int) -> list[tuple[str, int]]:
         if not item:
             continue
         name, _, kpart = item.partition(":")
-        if name not in ("none", "random", "greedy"):
+        if name not in PERCEPTION_POLICIES:
             raise _ConfigError(f"unknown policy {name!r}")
         k = int(kpart) if kpart else (0 if name == "none" else default_k)
         out.append((name, k))
@@ -112,6 +113,10 @@ def cmd_simulate(args) -> int:
         vf = read_value_function(args.value_function)
         if vf.num_states != pomdp.num_states:
             raise _ConfigError("value function does not match the scenario's state count")
+        if vf.actions.max() >= pomdp.num_actions:
+            raise _ConfigError(
+                f"value function has action tags beyond the scenario's {pomdp.num_actions} actions"
+            )
     else:
         points = sample_beliefs_uniform(pomdp.num_states, args.beliefs, args.seed)
         vf = solve(pomdp, points, tol=args.tol, max_iter=args.max_iter).value_function

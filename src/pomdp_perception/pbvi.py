@@ -1,20 +1,24 @@
 """Point-based value iteration over a fixed, uniformly sampled belief set.
 
 The value function is a finite set of hyperplanes (alpha vectors), each tagged
-with the action that generated it.  A backup builds, for every sampled point,
-the best one-step lookahead hyperplane against the previous set; the union of
-those per-point winners is the next set.  Points are sampled once up front
-and never adapted: the auxiliary observation channels available at runtime
-are unknown when the plan is computed, so the sampler covers the whole
-simplex instead of chasing reachable beliefs.
+with the action that generated it, stored as two frozen arrays: a (K, S) float
+`matrix` of coefficients and a (K,) int `actions` vector of tags.  A backup
+builds, for every sampled point, the best one-step lookahead hyperplane
+against the previous set; the union of those per-point winners is the next
+set.  Points are sampled once up front and never adapted: the auxiliary
+observation channels available at runtime are unknown when the plan is
+computed, so the sampler covers the whole simplex instead of chasing
+reachable beliefs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .pomdp import Belief, Pomdp
 
@@ -36,55 +40,61 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class AlphaVector:
+class AlphaVector(NamedTuple):
     """One linear facet of the value function, tagged with its action."""
 
     coeffs: np.ndarray
     action: int
 
-    def __post_init__(self) -> None:
-        c = np.array(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coeffs must be a nonempty vector")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "action", int(self.action))
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ValueFunction:
-    """Nonempty set of alpha vectors; V(b) = max over the set of coeffs . b."""
+    """Nonempty set of alpha vectors; V(b) = max over the rows of matrix @ b.
 
-    alphas: tuple[AlphaVector, ...]
+    `matrix` (K, S) holds the coefficients and `actions` (K,) the nonnegative
+    action tags; both are read-only copies.  Build one from `AlphaVector`
+    records or, without per-vector objects, with `from_arrays`.
+    """
 
-    def __post_init__(self) -> None:
-        alphas = tuple(self.alphas)
-        if not alphas:
-            raise ValueError("value function needs at least one alpha vector")
-        dim = alphas[0].coeffs.size
-        if any(a.coeffs.size != dim for a in alphas):
+    matrix: np.ndarray
+    actions: np.ndarray
+
+    def __init__(self, alphas: Iterable[AlphaVector]) -> None:
+        alphas = tuple(alphas)
+        if len({np.shape(a.coeffs) for a in alphas}) > 1:
             raise ValueError("alpha vectors must share the state dimension")
-        object.__setattr__(self, "alphas", alphas)
+        self._store([a.coeffs for a in alphas], [a.action for a in alphas])
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = np.vstack([a.coeffs for a in self.alphas])
-        m.setflags(write=False)
-        return m
+    @classmethod
+    def from_arrays(cls, matrix: ArrayLike, actions: ArrayLike) -> ValueFunction:
+        """Value function with rows `matrix` (K, S) tagged by `actions` (K,)."""
+        vf = cls.__new__(cls)
+        vf._store(matrix, actions)
+        return vf
 
-    @cached_property
-    def actions(self) -> np.ndarray:
-        acts = np.array([a.action for a in self.alphas], dtype=int)
-        acts.setflags(write=False)
-        return acts
+    def _store(self, matrix: ArrayLike, actions: ArrayLike) -> None:
+        """The one validator: copy both arrays, check them, freeze them."""
+        matrix = np.array(matrix, dtype=float)
+        actions = np.array(actions, dtype=int)
+        if len(matrix) == 0:
+            raise ValueError("value function needs at least one alpha vector")
+        if matrix.ndim != 2 or matrix.shape[1] == 0:
+            raise ValueError("alpha vectors must be nonempty and share the state dimension")
+        if actions.shape != matrix.shape[:1]:
+            raise ValueError(f"{actions.size} action tags for {len(matrix)} alpha vectors")
+        if np.any(actions < 0):
+            raise ValueError("action tags must be nonnegative")
+        matrix.setflags(write=False)
+        actions.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "actions", actions)
 
     @property
     def num_states(self) -> int:
-        return self.alphas[0].coeffs.size
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.alphas)
+        return len(self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +152,7 @@ def sample_beliefs_uniform(num_states: int, count: int, seed: int) -> BeliefPoin
 def initialize_value(pomdp: Pomdp) -> ValueFunction:
     """Single conservative hyperplane: collect the minimum reward forever."""
     low = float(pomdp.reward.min()) / (1.0 - pomdp.discount)
-    return ValueFunction((AlphaVector(np.full(pomdp.num_states, low), 0),))
+    return ValueFunction.from_arrays(np.full((1, pomdp.num_states), low), [0])
 
 
 def value(vf: ValueFunction, belief: Belief) -> float:
@@ -178,7 +188,7 @@ def backup(pomdp: Pomdp, previous: ValueFunction, points: BeliefPointSet) -> Val
         g[w, k](s) = discount * sum_s' O(s', a, w) T(s, a, s') alpha_k(s');
       * per point b, assemble R(., a) + sum_w argmax_k g[w, k] . b.
     Each point then keeps its best action's vector, and the union over points
-    is returned with exact duplicates emitted once.
+    is returned in first-point order with exact duplicates emitted once.
 
     Tie-breaking is deterministic throughout: the per-observation argmax keeps
     the lowest vector index and the per-point action argmax the lowest action.
@@ -205,17 +215,11 @@ def backup(pomdp: Pomdp, previous: ValueFunction, points: BeliefPointSet) -> Val
         value_ba[:, a] = np.einsum("bs,bs->b", assembled, bmat)
 
     best_a = np.argmax(value_ba, axis=1)
-    out: list[AlphaVector] = []
-    seen: set[tuple[int, bytes]] = set()
-    for b in range(num_points):
-        a = int(best_a[b])
-        coeffs = alpha_ba[a, b, :]
-        key = (a, coeffs.tobytes())
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(AlphaVector(coeffs, a))
-    return ValueFunction(tuple(out))
+    first: dict[tuple[int, bytes], int] = {}
+    for b, a in enumerate(best_a.tolist()):
+        first.setdefault((a, alpha_ba[a, b].tobytes()), b)
+    keep = np.array(list(first.values()))
+    return ValueFunction.from_arrays(alpha_ba[best_a[keep], keep], best_a[keep])
 
 
 def prune(vf: ValueFunction, points: BeliefPointSet) -> ValueFunction:
@@ -225,9 +229,9 @@ def prune(vf: ValueFunction, points: BeliefPointSet) -> ValueFunction:
     points are unchanged by construction.
     """
     winners = np.unique(np.argmax(_dot_table(vf, points), axis=1))
-    if winners.size == len(vf.alphas):
+    if winners.size == len(vf):
         return vf
-    return ValueFunction(tuple(vf.alphas[int(i)] for i in winners))
+    return ValueFunction.from_arrays(vf.matrix[winners], vf.actions[winners])
 
 
 @dataclass(frozen=True)
@@ -275,9 +279,8 @@ VALUE_FILE_HEADER = "alphas v1"
 
 def write_value_function(vf: ValueFunction, path: str) -> None:
     lines = [VALUE_FILE_HEADER, f"states {vf.num_states}", f"count {len(vf)}"]
-    for alpha in vf.alphas:
-        coeffs = " ".join(repr(float(c)) for c in alpha.coeffs)
-        lines.append(f"{alpha.action} {coeffs}")
+    for action, row in zip(vf.actions.tolist(), vf.matrix.tolist()):
+        lines.append(f"{action} " + " ".join(repr(c) for c in row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -291,13 +294,12 @@ def read_value_function(path: str) -> ValueFunction:
         raise ValueError("malformed value-function header")
     num_states = int(lines[1].split()[1])
     count = int(lines[2].split()[1])
-    body = lines[3:]
+    body = [line.split() for line in lines[3:]]
     if len(body) != count:
         raise ValueError(f"expected {count} alpha vectors, found {len(body)}")
-    alphas = []
-    for line in body:
-        parts = line.split()
+    for parts in body:
         if len(parts) != num_states + 1:
             raise ValueError(f"alpha line has {len(parts) - 1} coefficients, expected {num_states}")
-        alphas.append(AlphaVector(np.array([float(p) for p in parts[1:]]), int(parts[0])))
-    return ValueFunction(tuple(alphas))
+    return ValueFunction.from_arrays(
+        [[float(p) for p in parts[1:]] for parts in body], [int(parts[0]) for parts in body]
+    )

@@ -114,9 +114,6 @@ class SelectionProblem:
     def num_sources(self) -> int:
         return len(self.sources)
 
-    def cost_of(self, subset: PerceptionAction) -> float:
-        return float(sum(self.sources[i].cost for i in subset))
-
 
 @dataclass(frozen=True)
 class SelectionOutcome:
@@ -366,30 +363,28 @@ def _subset_row_index(
 
 
 def _full_joint(problem: SelectionProblem, prior: Belief, joint_cap: int):
-    """Joint outcome weights of ALL sources plus per-source symbol indices."""
+    """Prior probabilities of ALL sources' joint outcomes plus symbol indices."""
     every = PerceptionAction(tuple(range(problem.num_sources)))
-    weights = _joint_weights(
+    outcome_probs = _joint_weights(
         _likelihood_slices(problem, every), problem.belief.num_states, joint_cap
-    )
+    ) @ prior.probs
     sizes = [src.num_symbols for src in problem.sources]
-    num_rows = weights.shape[0]
+    num_rows = outcome_probs.size
     syms = []
     stride = num_rows
     for m in sizes:
         stride //= m
         syms.append((np.arange(num_rows) // stride) % m)
-    outcome_probs = weights @ prior.probs
-    return weights, outcome_probs, syms, sizes
+    return outcome_probs, syms, sizes
 
 
 def _expected_kl_to_belief(
     problem: SelectionProblem,
     prior: Belief,
-    subset: PerceptionAction,
-    joint_cap: int,
+    table: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> float:
-    """E over the subset's outcomes (under `prior`) of KL(posterior || belief)."""
-    weights, normalizers, posteriors = _posterior_table(problem, subset, joint_cap)
+    """E over the table's outcomes (under `prior`) of KL(posterior || belief)."""
+    weights, normalizers, posteriors = table
     outcome_probs = weights @ prior.probs
     active = outcome_probs > 0.0
     if np.any(active & (normalizers <= 0.0)):
@@ -402,14 +397,28 @@ def _expected_kl_to_belief(
     return float(outcome_probs[active] @ terms.sum(axis=1))
 
 
-def _distance_bound_rhs(
+def _bound_terms(
     problem: SelectionProblem,
     prior: Belief,
+    greedy: PerceptionAction,
     optimal: PerceptionAction,
     joint_cap: int,
-) -> float:
-    expected_kl = _expected_kl_to_belief(problem, prior, optimal, joint_cap)
-    return math.sqrt(max((2.0 / math.sqrt(math.e)) * expected_kl, 0.0))
+):
+    """Shared setup of the bound checks: the prior probabilities of the joint
+    outcomes of all sources that can occur, the greedy and the optimal posterior
+    tables with each such outcome's row in them, and the belief-distance bound."""
+    outcome_probs, syms, sizes = _full_joint(problem, prior, joint_cap)
+    active = outcome_probs > 0.0
+    _, norm_g, post_g = _posterior_table(problem, greedy, joint_cap)
+    table_o = _posterior_table(problem, optimal, joint_cap)
+    _, norm_o, post_o = table_o
+    idx_g = _subset_row_index(syms, sizes, greedy)[active]
+    idx_o = _subset_row_index(syms, sizes, optimal)[active]
+    if np.any(norm_g[idx_g] <= 0.0) or np.any(norm_o[idx_o] <= 0.0):
+        raise ZeroLikelihoodObservation("prior reaches outcomes the belief rules out")
+    expected_kl = _expected_kl_to_belief(problem, prior, table_o)
+    delta = math.sqrt(max((2.0 / math.sqrt(math.e)) * expected_kl, 0.0))
+    return outcome_probs[active], post_g, idx_g, post_o, idx_o, delta
 
 
 def check_distance_bound(
@@ -428,17 +437,10 @@ def check_distance_bound(
     """
     g = greedy if greedy is not None else generalized_greedy(problem, joint_cap)
     o = optimal if optimal is not None else brute_force_optimal(problem, joint_cap)
-    _, outcome_probs, syms, sizes = _full_joint(problem, prior, joint_cap)
-    _, norm_g, post_g = _posterior_table(problem, g.selected, joint_cap)
-    _, norm_o, post_o = _posterior_table(problem, o.selected, joint_cap)
-    idx_g = _subset_row_index(syms, sizes, g.selected)
-    idx_o = _subset_row_index(syms, sizes, o.selected)
-    active = outcome_probs > 0.0
-    if np.any(active & ((norm_g[idx_g] <= 0.0) | (norm_o[idx_o] <= 0.0))):
-        raise ZeroLikelihoodObservation("prior reaches outcomes the belief rules out")
-    distances = np.abs(post_g[idx_g] - post_o[idx_o]).sum(axis=1)
-    lhs = float(outcome_probs[active] @ distances[active])
-    rhs = _distance_bound_rhs(problem, prior, o.selected, joint_cap)
+    probs, post_g, idx_g, post_o, idx_o, rhs = _bound_terms(
+        problem, prior, g.selected, o.selected, joint_cap
+    )
+    lhs = float(probs @ np.abs(post_g[idx_g] - post_o[idx_o]).sum(axis=1))
     return BoundReport(lhs, rhs, lhs <= rhs + _BOUND_SLACK, g.selected, o.selected)
 
 
@@ -456,19 +458,12 @@ def check_value_bound(
     belief-distance bound."""
     g = greedy if greedy is not None else generalized_greedy(problem, joint_cap)
     o = optimal if optimal is not None else brute_force_optimal(problem, joint_cap)
-    _, outcome_probs, syms, sizes = _full_joint(problem, prior, joint_cap)
-    _, norm_g, post_g = _posterior_table(problem, g.selected, joint_cap)
-    _, norm_o, post_o = _posterior_table(problem, o.selected, joint_cap)
-    idx_g = _subset_row_index(syms, sizes, g.selected)
-    idx_o = _subset_row_index(syms, sizes, o.selected)
-    active = outcome_probs > 0.0
-    if np.any(active & ((norm_g[idx_g] <= 0.0) | (norm_o[idx_o] <= 0.0))):
-        raise ZeroLikelihoodObservation("prior reaches outcomes the belief rules out")
+    probs, post_g, idx_g, post_o, idx_o, delta = _bound_terms(
+        problem, prior, g.selected, o.selected, joint_cap
+    )
     values_g = (post_g @ vf.matrix.T).max(axis=1)
     values_o = (post_o @ vf.matrix.T).max(axis=1)
-    gaps = values_g[idx_g] - values_o[idx_o]
-    lhs = float(outcome_probs[active] @ gaps[active])
-    delta = _distance_bound_rhs(problem, prior, o.selected, joint_cap)
+    lhs = float(probs @ (values_g[idx_g] - values_o[idx_o]))
     reward_scale = max(abs(float(pomdp.reward.max())), abs(float(pomdp.reward.min())))
     rhs = delta * reward_scale / (1.0 - pomdp.discount)
     return BoundReport(lhs, rhs, lhs <= rhs + _BOUND_SLACK, g.selected, o.selected)

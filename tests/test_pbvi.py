@@ -80,8 +80,8 @@ def test_initialize_value_formula():
     p = Pomdp(p.transition, p.observation, reward, 0.95)
     vf = initialize_value(p)
     assert len(vf) == 1
-    assert np.allclose(vf.alphas[0].coeffs, -100.0)
-    assert vf.alphas[0].action == 0
+    assert np.allclose(vf.matrix[0], -100.0)
+    assert vf.actions[0] == 0
 
 
 def test_initialize_value_zero_min_reward():
@@ -92,7 +92,7 @@ def test_initialize_value_zero_min_reward():
         discount=0.5,
     )
     vf = initialize_value(p)
-    assert np.allclose(vf.alphas[0].coeffs, 0.0)
+    assert np.allclose(vf.matrix[0], 0.0)
     for b in (Belief.uniform(2), Belief.point_mass(2, 1)):
         assert value(vf, b) == 0.0
 
@@ -129,6 +129,34 @@ def test_value_matches_naive_loop():
         assert best_action(vf, b) == alphas[int(np.argmax(dots))].action
 
 
+def test_value_function_records_and_arrays_agree():
+    rng = np.random.default_rng(24)
+    matrix = rng.normal(size=(5, 3))
+    actions = rng.integers(4, size=5)
+    from_records = ValueFunction(AlphaVector(row, int(a)) for row, a in zip(matrix, actions))
+    from_arrays = ValueFunction.from_arrays(matrix, actions)
+    for vf in (from_records, from_arrays):
+        assert np.array_equal(vf.matrix, matrix)
+        assert np.array_equal(vf.actions, actions)
+        assert (len(vf), vf.num_states) == (5, 3)
+        assert not vf.matrix.flags.writeable and not vf.actions.flags.writeable
+    matrix[0, 0] = 99.0
+    assert from_arrays.matrix[0, 0] != 99.0
+
+
+def test_value_function_validator_rejects_bad_sets():
+    with pytest.raises(ValueError, match="at least one"):
+        ValueFunction(())
+    with pytest.raises(ValueError, match="at least one"):
+        ValueFunction.from_arrays(np.empty((0, 3)), [])
+    with pytest.raises(ValueError, match="state dimension"):
+        ValueFunction((AlphaVector(np.ones(2), 0), AlphaVector(np.ones(3), 0)))
+    with pytest.raises(ValueError, match="1 action tags for 2"):
+        ValueFunction.from_arrays(np.ones((2, 3)), [0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        ValueFunction((AlphaVector(np.ones(2), 0), AlphaVector(np.ones(2), -1)))
+
+
 # ---------------------------------------------------------------------------
 # Backup
 # ---------------------------------------------------------------------------
@@ -139,8 +167,8 @@ def test_backup_discount_zero_returns_best_reward_rows():
     p = random_pomdp(rng, 3, 4, 2, discount=0.0)
     points = sample_beliefs_uniform(3, 10, seed=3)
     vf = backup(p, initialize_value(p), points)
-    for alpha in vf.alphas:
-        assert np.allclose(alpha.coeffs, p.reward[:, alpha.action], atol=1e-12)
+    for coeffs, action in zip(vf.matrix, vf.actions):
+        assert np.allclose(coeffs, p.reward[:, action], atol=1e-12)
     for b in points.points:
         rewards = [float(b.probs @ p.reward[:, a]) for a in range(4)]
         assert value(vf, b) == pytest.approx(max(rewards), abs=1e-12)
@@ -151,7 +179,7 @@ def test_backup_matches_one_step_expansion_oracle():
     p = random_pomdp(rng, 2, 2, 2, discount=0.8)
     points = sample_beliefs_uniform(2, 12, seed=5)
     init = initialize_value(p)
-    low = float(init.alphas[0].coeffs[0])
+    low = float(init.matrix[0][0])
     vf = backup(p, init, points)
     for b in points.points:
         expected = oracle_one_step_value(p, b, lambda _: low)
@@ -189,8 +217,40 @@ def test_backup_action_tags_are_the_per_point_argmax():
     p = random_pomdp(rng, 3, 3, 2, discount=0.7)
     points = sample_beliefs_uniform(3, 15, seed=10)
     vf = backup(p, initialize_value(p), points)
-    assert all(0 <= a.action < 3 for a in vf.alphas)
+    assert all(0 <= a < 3 for a in vf.actions)
     assert len(vf) <= len(points)
+
+
+def test_backup_emits_each_winning_vector_once_in_first_point_order():
+    rng = np.random.default_rng(26)
+    p = random_pomdp(rng, 4, 3, 3, discount=0.8)
+    points = sample_beliefs_uniform(4, 60, seed=26)
+    previous = ValueFunction(
+        AlphaVector(rng.normal(scale=5.0, size=4), int(rng.integers(3))) for _ in range(6)
+    )
+    vf = backup(p, previous, points)
+
+    expected: list[tuple[int, np.ndarray]] = []
+    for b in points.matrix:
+        best_value, best = -np.inf, None
+        for a in range(3):
+            coeffs = p.reward[:, a].copy()
+            for w in range(3):
+                projected = [
+                    p.discount * (p.transition[:, a, :] @ (p.observation[:, a, w] * alpha))
+                    for alpha in previous.matrix
+                ]
+                coeffs += max(projected, key=lambda g: float(g @ b))
+            if float(coeffs @ b) > best_value:
+                best_value, best = float(coeffs @ b), (a, coeffs)
+        if not any(a == best[0] and np.allclose(c, best[1], rtol=0, atol=1e-9) for a, c in expected):
+            expected.append(best)
+
+    assert 1 < len(expected) < len(points)
+    assert len(vf) == len(expected)
+    for (action, coeffs), row, tag in zip(expected, vf.matrix, vf.actions):
+        assert tag == action
+        assert np.allclose(row, coeffs, rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +270,7 @@ def test_prune_drops_duplicates_and_dominated():
     )
     kept = prune(dominated, points)
     assert len(kept) == 1
-    assert np.allclose(kept.alphas[0].coeffs, [1.0, 2.0])
+    assert np.allclose(kept.matrix[0], [1.0, 2.0])
 
 
 def test_prune_preserves_values_at_all_points():
@@ -316,4 +376,7 @@ def test_value_function_file_rejects_garbage(tmp_path):
         read_value_function(str(path))
     path.write_text("who knows\n")
     with pytest.raises(ValueError, match="alphas v1"):
+        read_value_function(str(path))
+    path.write_text("alphas v1\nstates 2\ncount 1\n-1 1.0 2.0\n")
+    with pytest.raises(ValueError, match="nonnegative"):
         read_value_function(str(path))
