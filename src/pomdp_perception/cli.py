@@ -2,7 +2,9 @@
 
 Every subcommand is a deterministic function of its flags and seeds; output
 files carry a schema version on their first line.  Exit codes: 0 success,
-1 configuration error, 2 runtime numerical error.
+1 configuration error, 2 runtime numerical error, or a `solve` that stopped
+at --max-iter unconverged (its value file is still written, and a warning
+says so on stderr; `simulate` only warns when its own solve stops so).
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from .gridworld import (
     monte_carlo,
     read_scenario_file,
 )
-from .pbvi import read_value_function, sample_beliefs_uniform, solve, write_value_function
+from .pbvi import (
+    SolveResult,
+    read_value_function,
+    sample_beliefs_uniform,
+    solve,
+    write_value_function,
+)
 from .pomdp import ZeroLikelihoodObservation, read_pomdp_file
 from .selection import GREEDY_GUARANTEE, JointAlphabetTooLarge, TooManySources
 
@@ -80,6 +88,14 @@ def _parse_policies(text: str, default_k: int) -> list[tuple[str, int]]:
     return out
 
 
+def _unconverged(result: SolveResult) -> str:
+    return (
+        f"the solve did not converge: {result.iterations} backups ran and the last "
+        f"still moved the point values by {result.final_delta!r} in sum; "
+        "raise --max-iter or --tol"
+    )
+
+
 def cmd_solve(args) -> int:
     if args.max_iter < 1:
         raise _ConfigError("--max-iter must be at least 1")
@@ -100,6 +116,9 @@ def cmd_solve(args) -> int:
         f"points={len(points)}"
     )
     print(f"wrote {args.out}")
+    if not result.converged:
+        print(f"warning: {_unconverged(result)}", file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 
@@ -111,15 +130,12 @@ def cmd_simulate(args) -> int:
         if not os.path.exists(args.value_function):
             raise _ConfigError(f"value-function file not found: {args.value_function}")
         vf = read_value_function(args.value_function)
-        if vf.num_states != pomdp.num_states:
-            raise _ConfigError("value function does not match the scenario's state count")
-        if vf.actions.max() >= pomdp.num_actions:
-            raise _ConfigError(
-                f"value function has action tags beyond the scenario's {pomdp.num_actions} actions"
-            )
     else:
         points = sample_beliefs_uniform(pomdp.num_states, args.beliefs, args.seed)
-        vf = solve(pomdp, points, tol=args.tol, max_iter=args.max_iter).value_function
+        result = solve(pomdp, points, tol=args.tol, max_iter=args.max_iter)
+        if not result.converged:
+            print(f"warning: {_unconverged(result)}", file=sys.stderr)
+        vf = result.value_function
     os.makedirs(args.out_dir, exist_ok=True)
     for policy, k in policies:
         label = _policy_label(policy, k)

@@ -364,8 +364,17 @@ def run_episode(
     the perception policy.
 
     A zero-likelihood observation ends the episode with failed=True instead
-    of raising.
+    of raising.  A value function whose state count differs from the model's,
+    or whose action tags reach past the model's actions, raises ValueError.
     """
+    if vf.num_states != pomdp.num_states:
+        raise ValueError(
+            f"value function has {vf.num_states} states; the scenario has {pomdp.num_states}"
+        )
+    if vf.actions.max() >= pomdp.num_actions:
+        raise ValueError(
+            f"value function has action tags beyond the scenario's {pomdp.num_actions} actions"
+        )
     if policy not in PERCEPTION_POLICIES:
         raise ValueError(f"unknown perception policy {policy!r}")
     if k > scenario.budget:

@@ -8,6 +8,7 @@ all operations here are pure functions that can be shared across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -101,6 +102,27 @@ class Pomdp:
     @property
     def num_observations(self) -> int:
         return self.observation.shape[2]
+
+    @cached_property
+    def sensor_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sensor as a floor plus departures: O(s', a, w) = u(s', a) + D(s', a, w).
+
+        u is the minimum of O(s', a, .) over observations and D >= 0.
+        Returns u (S, A) and, per action and observation, the rows s' where
+        D is nonzero as an (m, A, W) index array with the matching (m, A, W)
+        departures, m being the most any (a, w) has; shorter lists are
+        padded with rows whose departure is exactly 0.  A diagonal-plus-
+        uniform sensor has m = 1.  All three arrays are read-only.
+        """
+        floor = self.observation.min(axis=2)
+        departures = self.observation - floor[:, :, None]
+        nonzero = departures != 0.0
+        width = max(int(nonzero.sum(axis=0).max()), 1)
+        rows = np.argsort(~nonzero, axis=0, kind="stable")[:width]
+        split = (floor, rows, np.take_along_axis(departures, rows, axis=0))
+        for arr in split:
+            arr.setflags(write=False)
+        return split
 
 
 @dataclass(frozen=True, eq=False)

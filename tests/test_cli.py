@@ -55,7 +55,7 @@ def test_solve_simulate_report_pipeline(tmp_path, capsys):
     sim_dir = tmp_path / "sim"
     report = tmp_path / "report.csv"
     solve = ["solve", "--scenario", scenario, "--out", str(vf_path), "--beliefs", "20"]
-    assert cli.main(solve + ["--max-iter", "5"]) == cli.EXIT_OK
+    assert cli.main(solve) == cli.EXIT_OK
     assert first_line(vf_path) == "alphas v1"
     simulate = ["simulate", "--scenario", scenario, "--value-function", str(vf_path)]
     policies = ["--policies", "none,greedy:1", "--runs", "2", "--out-dir", str(sim_dir)]
@@ -68,8 +68,28 @@ def test_solve_simulate_report_pipeline(tmp_path, capsys):
     lines = report.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "# report v1"
     assert [line.split(",")[:2] for line in lines[2:]] == [["greedy_k1", "2"], ["none", "2"]]
-    out = capsys.readouterr().out
-    assert "solve: converged=" in out and "simulate: policy=greedy_k1 runs=2" in out
+    captured = capsys.readouterr()
+    assert "solve: converged=True" in captured.out
+    assert "simulate: policy=greedy_k1 runs=2" in captured.out
+    assert captured.err == ""
+
+
+def test_an_unconverged_solve_exits_2_and_still_writes_its_value_file(tmp_path, capsys):
+    scenario = tiny_scenario_file(tmp_path)
+    vf_path = tmp_path / "vf.txt"
+    solve = ["solve", "--scenario", scenario, "--out", str(vf_path), "--beliefs", "20"]
+    assert cli.main(solve + ["--max-iter", "5"]) == cli.EXIT_NUMERIC
+    assert first_line(vf_path) == "alphas v1"
+    captured = capsys.readouterr()
+    assert "solve: converged=False iterations=5" in captured.out
+    assert "warning: the solve did not converge: 5 backups ran" in captured.err
+    # simulate solving on demand only warns, and runs its episodes.
+    simulate = ["simulate", "--scenario", scenario, "--beliefs", "20", "--max-iter", "5"]
+    rest = ["--policies", "none", "--runs", "1", "--out-dir", str(tmp_path / "sim")]
+    assert cli.main(simulate + rest) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert "warning: the solve did not converge: 5 backups ran" in captured.err
+    assert "simulate: policy=none runs=1" in captured.out
 
 
 def test_simulate_rejects_action_tags_the_model_lacks(tmp_path, capsys):

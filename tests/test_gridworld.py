@@ -13,6 +13,7 @@ from pomdp_perception import (
     Scenario,
     SelectionProblem,
     UavSpec,
+    ValueFunction,
     ZeroLikelihoodObservation,
     build_pomdp,
     conditional_entropy,
@@ -258,8 +259,9 @@ def tiny_solution():
     scenario = tiny_scenario()
     pomdp = build_pomdp(scenario)
     points = sample_beliefs_uniform(pomdp.num_states, 300, seed=0)
-    vf = solve(pomdp, points, tol=1e-5).value_function
-    return scenario, pomdp, vf
+    result = solve(pomdp, points, tol=1e-5)
+    assert result.converged
+    return scenario, pomdp, result.value_function
 
 
 def test_episode_starting_at_goal_is_empty(tiny_solution):
@@ -311,6 +313,18 @@ def test_episode_rejects_bad_arguments(tiny_solution):
         run_episode(pomdp, vf, scenario, "greedy", scenario.budget + 1, seed=0)
 
 
+def test_episode_rejects_a_value_function_the_model_cannot_use():
+    scenario = tiny_scenario()
+    pomdp = build_pomdp(scenario)
+    with pytest.raises(ValueError, match="beyond the scenario's 5 actions"):
+        run_episode(pomdp, ValueFunction.from_arrays(np.zeros((1, 9)), [7]), scenario, "none", 0, seed=0)
+    with pytest.raises(ValueError, match="10 states; the scenario has 9"):
+        run_episode(pomdp, ValueFunction.from_arrays(np.zeros((1, 10)), [0]), scenario, "none", 0, seed=0)
+    # Tag 4 (stop) is the last the model has, so it runs.
+    stop = ValueFunction.from_arrays(np.zeros((2, 9)), [4, 0])
+    assert run_episode(pomdp, stop, scenario, "none", 0, seed=0).steps[0].action == STOP
+
+
 def test_random_policy_respects_the_cost_budget():
     # k is a cost budget: one UAV of cost 1.5 fits in k=2, two do not.
     stock = default_scenario()
@@ -348,7 +362,9 @@ def test_perfect_coverage_reduces_to_the_mdp_policy():
     scenario = tiny_scenario(intrinsic_sensor_accuracy=0.85)
     pomdp = build_pomdp(scenario)
     points = sample_beliefs_uniform(pomdp.num_states, 400, seed=1)
-    vf = solve(pomdp, points, tol=1e-6).value_function
+    result = solve(pomdp, points, tol=1e-6)
+    assert result.converged
+    vf = result.value_function
     exact = mdp_value_iteration(pomdp.transition, pomdp.reward, pomdp.discount)
     q = pomdp.reward + pomdp.discount * np.einsum("san,n->sa", pomdp.transition, exact)
     reached = 0

@@ -1,16 +1,24 @@
 """Planner: belief sampling, backups, pruning, convergence, serialization."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pomdp_perception.pbvi as pbvi
 from pomdp_perception import (
     AlphaVector,
     Belief,
     BeliefPointSet,
     Pomdp,
+    Scenario,
+    UavSpec,
     ValueFunction,
     backup,
     best_action,
+    build_pomdp,
     initialize_value,
     point_values,
     prune,
@@ -20,7 +28,13 @@ from pomdp_perception import (
     value,
     write_value_function,
 )
-from helpers import mdp_value_iteration, oracle_one_step_value, random_belief, random_pomdp
+from helpers import (
+    mdp_value_iteration,
+    oracle_backup,
+    oracle_one_step_value,
+    random_belief,
+    random_pomdp,
+)
 
 
 def alpha_norm_bound(pomdp: Pomdp) -> float:
@@ -155,6 +169,9 @@ def test_value_function_validator_rejects_bad_sets():
         ValueFunction.from_arrays(np.ones((2, 3)), [0])
     with pytest.raises(ValueError, match="nonnegative"):
         ValueFunction((AlphaVector(np.ones(2), 0), AlphaVector(np.ones(2), -1)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ValueFunction.from_arrays([[0.0, 1.0], [bad, 0.0]], [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +238,23 @@ def test_backup_action_tags_are_the_per_point_argmax():
     assert len(vf) <= len(points)
 
 
+def assert_backup_matches_oracle(p: Pomdp, previous: ValueFunction, points: BeliefPointSet):
+    vf = backup(p, previous, points)
+    expected = oracle_backup(p, previous.matrix, points.matrix)
+    assert 1 < len(expected) < len(points)
+    assert len(vf) == len(expected)
+    for (action, coeffs), row, tag in zip(expected, vf.matrix, vf.actions):
+        assert tag == action
+        assert np.allclose(row, coeffs, rtol=0, atol=1e-9)
+
+
+def random_previous(rng, num_vectors: int, num_states: int, num_actions: int) -> ValueFunction:
+    return ValueFunction.from_arrays(
+        rng.normal(scale=5.0, size=(num_vectors, num_states)),
+        rng.integers(num_actions, size=num_vectors),
+    )
+
+
 def test_backup_emits_each_winning_vector_once_in_first_point_order():
     rng = np.random.default_rng(26)
     p = random_pomdp(rng, 4, 3, 3, discount=0.8)
@@ -228,29 +262,78 @@ def test_backup_emits_each_winning_vector_once_in_first_point_order():
     previous = ValueFunction(
         AlphaVector(rng.normal(scale=5.0, size=4), int(rng.integers(3))) for _ in range(6)
     )
-    vf = backup(p, previous, points)
+    assert_backup_matches_oracle(p, previous, points)
 
-    expected: list[tuple[int, np.ndarray]] = []
-    for b in points.matrix:
-        best_value, best = -np.inf, None
-        for a in range(3):
-            coeffs = p.reward[:, a].copy()
-            for w in range(3):
-                projected = [
-                    p.discount * (p.transition[:, a, :] @ (p.observation[:, a, w] * alpha))
-                    for alpha in previous.matrix
-                ]
-                coeffs += max(projected, key=lambda g: float(g @ b))
-            if float(coeffs @ b) > best_value:
-                best_value, best = float(coeffs @ b), (a, coeffs)
-        if not any(a == best[0] and np.allclose(c, best[1], rtol=0, atol=1e-9) for a, c in expected):
-            expected.append(best)
 
-    assert 1 < len(expected) < len(points)
-    assert len(vf) == len(expected)
-    for (action, coeffs), row, tag in zip(expected, vf.matrix, vf.actions):
-        assert tag == action
-        assert np.allclose(row, coeffs, rtol=0, atol=1e-9)
+def tiny_grid(**overrides) -> Scenario:
+    fields = dict(
+        width=3,
+        height=3,
+        start_cell=6,
+        goal_cell=2,
+        obstacle_cells=frozenset({4}),
+        discount=0.9,
+        horizon=15,
+        budget=1,
+        uavs=(UavSpec(waypoints=(4,), detection_accuracy=1.0),),
+    )
+    fields.update(overrides)
+    return Scenario(**fields)
+
+
+def test_backup_matches_the_plain_loop_on_a_diagonal_plus_uniform_sensor():
+    p = build_pomdp(tiny_grid())
+    floor, rows, departures = p.sensor_split
+    assert rows.shape == (1, 5, 9) and np.all(floor > 0.0) and np.all(departures > 0.0)
+    rng = np.random.default_rng(27)
+    points = BeliefPointSet(tuple(random_belief(rng, 9) for _ in range(60)))
+    assert_backup_matches_oracle(p, random_previous(rng, 8, 9, 5), points)
+
+
+def test_backup_matches_the_plain_loop_on_a_sensor_with_repeated_values_and_zeros():
+    sensor = np.array(
+        [
+            [0.5, 0.5, 0.0, 0.0],
+            [0.25, 0.25, 0.25, 0.25],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.4, 0.2, 0.2, 0.2],
+            [0.1, 0.3, 0.3, 0.3],
+        ]
+    )
+    observation = np.stack([sensor, sensor[::-1], sensor[:, ::-1]], axis=1)
+    rng = np.random.default_rng(28)
+    base = random_pomdp(rng, 5, 3, 4, discount=0.85)
+    p = Pomdp(base.transition, observation, base.reward, base.discount)
+    floor, rows, departures = p.sensor_split
+    # One or two rows depart from the floor per (action, observation), so the
+    # one-row lists are padded with a zero departure.
+    nonzero = (departures != 0.0).sum(axis=0)
+    assert nonzero.min() == 1 and nonzero.max() == rows.shape[0] == 2
+    assert np.allclose(floor[:, :, None] + _dense(rows, departures, 5), observation, atol=1e-15)
+    points = sample_beliefs_uniform(5, 60, seed=28)
+    assert_backup_matches_oracle(p, random_previous(rng, 7, 5, 3), points)
+
+
+def _dense(rows, departures, num_states):
+    out = np.zeros((num_states,) + rows.shape[1:])
+    for j in range(rows.shape[0]):
+        for a in range(rows.shape[1]):
+            for w in range(rows.shape[2]):
+                out[rows[j, a, w], a, w] += departures[j, a, w]
+    return out
+
+
+def test_backup_settles_exact_ties_between_duplicate_vectors_like_the_plain_loop():
+    rng = np.random.default_rng(29)
+    p = random_pomdp(rng, 4, 3, 3, discount=0.8)
+    points = sample_beliefs_uniform(4, 60, seed=29)
+    distinct = random_previous(rng, 5, 4, 3)
+    order = [0, 1, 1, 2, 3, 1, 4, 4]
+    doubled = ValueFunction.from_arrays(distinct.matrix[order], distinct.actions[order])
+    assert_backup_matches_oracle(p, doubled, points)
+    once, twice = backup(p, distinct, points), backup(p, doubled, points)
+    assert np.array_equal(once.actions, twice.actions)
+    assert np.allclose(once.matrix, twice.matrix, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +356,23 @@ def test_prune_drops_duplicates_and_dominated():
     assert np.allclose(kept.matrix[0], [1.0, 2.0])
 
 
-def test_prune_preserves_values_at_all_points():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        alphas = tuple(
-            AlphaVector(rng.normal(size=3), int(rng.integers(2))) for _ in range(12)
-        )
-        vf = ValueFunction(alphas)
-        points = sample_beliefs_uniform(3, 15, seed=int(rng.integers(1000)))
-        pruned = prune(vf, points)
-        assert np.array_equal(point_values(pruned, points), point_values(vf, points))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_vectors=st.integers(1, 14),
+    num_states=st.integers(1, 6),
+    copies=st.integers(0, 3),
+)
+def test_prune_preserves_values_at_all_points(seed, num_vectors, num_states, copies):
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(num_vectors, num_states))
+    # Exact copies of some rows make ties that prune must settle without
+    # moving any point's value.
+    matrix = np.concatenate((matrix, matrix[rng.integers(num_vectors, size=copies)]))
+    vf = ValueFunction.from_arrays(matrix, rng.integers(3, size=len(matrix)))
+    points = sample_beliefs_uniform(num_states, int(rng.integers(1, 20)), seed=seed)
+    pruned = prune(vf, points)
+    assert np.array_equal(point_values(pruned, points), point_values(vf, points))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +407,37 @@ def test_solve_identity_observation_matches_mdp_value_iteration():
     for s in range(num_states):
         approx = value(result.value_function, Belief.point_mass(num_states, s))
         assert approx == pytest.approx(exact[s], abs=1e-3)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.booleans(),
+    discount=st.floats(0.5, 0.95),
+    accuracy=st.floats(0.5, 0.95),
+    count=st.integers(3, 40),
+)
+def test_solve_point_values_never_decrease(seed, grid, discount, accuracy, count):
+    # Plain backup + prune lowers some point's value within 150 iterations
+    # on almost every such 3x3 grid; the acceptance rule must never let it.
+    rng = np.random.default_rng(seed)
+    if grid:
+        p = build_pomdp(tiny_grid(discount=discount, intrinsic_sensor_accuracy=accuracy))
+    else:
+        p = random_pomdp(rng, int(rng.integers(2, 6)), 3, int(rng.integers(2, 5)), discount)
+    points = sample_beliefs_uniform(p.num_states, count, seed=seed)
+    inputs = []
+
+    def recording_backup(pomdp, previous, points):
+        inputs.append(point_values(previous, points))
+        return backup(pomdp, previous, points)
+
+    with mock.patch.object(pbvi, "backup", recording_backup):
+        result = solve(p, points, tol=1e-9, max_iter=150)
+    values = inputs + [point_values(result.value_function, points)]
+    assert len(values) == result.iterations + 1
+    for before, after in zip(values, values[1:]):
+        assert np.all(after >= before)
 
 
 def test_solve_is_deterministic():
@@ -379,4 +500,7 @@ def test_value_function_file_rejects_garbage(tmp_path):
         read_value_function(str(path))
     path.write_text("alphas v1\nstates 2\ncount 1\n-1 1.0 2.0\n")
     with pytest.raises(ValueError, match="nonnegative"):
+        read_value_function(str(path))
+    path.write_text("alphas v1\nstates 2\ncount 1\n0 nan nan\n")
+    with pytest.raises(ValueError, match="finite"):
         read_value_function(str(path))
