@@ -10,6 +10,7 @@ query a random subset, or query the greedy mutual-information subset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +23,7 @@ from .pomdp import (
     PerceptionAction,
     Pomdp,
     ZeroLikelihoodObservation,
+    _content_lines,
     belief_update_auxiliary,
     belief_update_intrinsic,
 )
@@ -117,6 +119,9 @@ class Scenario:
         for p in (self.move_success_prob, self.intrinsic_sensor_accuracy):
             if not 0.0 < p <= 1.0:
                 raise InvalidScenario("probabilities must be in (0, 1]")
+        for name in ("goal_reward", "obstacle_reward", "step_reward"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidScenario(f"{name} must be finite")
         if not 0.0 <= self.discount < 1.0:
             raise InvalidScenario("discount must be in [0, 1)")
         if self.horizon < 1 or self.budget < 0:
@@ -317,11 +322,11 @@ def _select_sources(
     keeps them, in draw order, while their summed cost stays within k.
     """
     if policy == "none" or k <= 0 or not sources:
-        return PerceptionAction.empty()
+        return PerceptionAction()
     if policy == "random":
         affordable = [i for i, src in enumerate(sources) if src.cost <= k]
         if not affordable:
-            return PerceptionAction.empty()
+            return PerceptionAction()
         picks = rng.choice(len(affordable), size=min(k, len(affordable)), replace=False)
         kept: list[int] = []
         spent = 0.0
@@ -330,7 +335,7 @@ def _select_sources(
             if spent > k:
                 break
             kept.append(affordable[int(pick)])
-        return PerceptionAction(tuple(kept))
+        return PerceptionAction(kept)
     if policy == "greedy":
         problem = SelectionProblem(
             belief=belief, action=action, sources=tuple(sources), budget=float(k)
@@ -395,27 +400,23 @@ def run_episode(
         total += scenario.discount**t * reward
         next_state = _sample_index(rng_trans, pomdp.transition[state, action])
         obs = _sample_index(rng_obs, pomdp.observation[next_state, action])
+        # An impossible intrinsic observation records no selection and draws
+        # neither a selection nor a report.
+        selected = PerceptionAction()
         try:
             belief = belief_update_intrinsic(pomdp, belief, action, obs)
-        except ZeroLikelihoodObservation:
-            steps.append(StepRecord(state, action, PerceptionAction.empty(), reward))
-            failed = True
-            state = next_state
-            break
-        sources = uav_sources_at(scenario, t)
-        selected = _select_sources(policy, k, belief, action, sources, rng_select)
-        symbols = tuple(
-            _sample_index(rng_aux, sources[i].likelihood[next_state, action]) for i in selected
-        )
-        try:
+            sources = uav_sources_at(scenario, t)
+            selected = _select_sources(policy, k, belief, action, sources, rng_select)
+            symbols = tuple(
+                _sample_index(rng_aux, sources[i].likelihood[next_state, action]) for i in selected
+            )
             belief = belief_update_auxiliary(belief, action, selected, sources, symbols)
         except ZeroLikelihoodObservation:
-            steps.append(StepRecord(state, action, selected, reward))
             failed = True
-            state = next_state
-            break
         steps.append(StepRecord(state, action, selected, reward))
         state = next_state
+        if failed:
+            break
     return EpisodeRecord(tuple(steps), total, state == scenario.goal_cell, failed)
 
 
@@ -503,12 +504,7 @@ def write_scenario_file(scenario: Scenario, path: str) -> None:
 
 
 def read_scenario_file(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = []
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                lines.append(line)
+    lines = _content_lines(path)
     if not lines or lines[0] != SCENARIO_FILE_HEADER:
         raise ValueError(f"not a '{SCENARIO_FILE_HEADER}' file: {path}")
     scalars: dict[str, list[str]] = {}

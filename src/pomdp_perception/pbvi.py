@@ -19,13 +19,12 @@ covers the whole simplex instead of chasing reachable beliefs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .pomdp import Belief, Pomdp
+from .pomdp import Belief, Pomdp, _check_stochastic, _frozen_array
 
 # Elements of (pairs, B, max(K, S)) scratch space `backup` scores one block of
 # (action, observation) pairs in.  One pair of the stock map at 165 points
@@ -112,54 +111,43 @@ class ValueFunction:
 
 @dataclass(frozen=True, eq=False)
 class BeliefPointSet:
-    """The fixed set of sampled belief points backups are restricted to."""
+    """The fixed set of sampled belief points backups are restricted to.
 
-    points: tuple[Belief, ...]
+    `matrix` (B, S) holds one belief per row, B >= 1: a read-only copy,
+    checked once by the probability validator of the model types.
+    """
+
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        points = tuple(self.points)
-        if not points:
-            raise ValueError("belief point set must be nonempty")
-        dim = points[0].num_states
-        if any(p.num_states != dim for p in points):
-            raise ValueError("belief points must share the state dimension")
-        object.__setattr__(self, "points", points)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = np.vstack([p.probs for p in self.points])
-        m.setflags(write=False)
-        return m
+        matrix = _frozen_array(self.matrix)
+        if matrix.ndim != 2:
+            raise ValueError("belief points must form a (points, states) matrix")
+        _check_stochastic("belief points", matrix)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def num_states(self) -> int:
-        return self.points[0].num_states
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.matrix)
 
 
 def sample_beliefs_uniform(num_states: int, count: int, seed: int) -> BeliefPointSet:
     """Draw `count` beliefs uniformly from the simplex (flat Dirichlet).
 
-    The uniform belief and all simplex corners are always appended (then exact
-    duplicates are dropped) so the set covers the extremes regardless of count.
+    The uniform belief and all simplex corners are always appended so the set
+    covers the extremes regardless of count.  Exact duplicate rows are then
+    dropped, the first copy kept, so the rows stay in draw order.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
-    rows = list(rng.dirichlet(np.ones(num_states), size=count))
-    rows.append(np.full(num_states, 1.0 / num_states))
-    rows.extend(np.eye(num_states))
-    seen: set[bytes] = set()
-    points = []
-    for row in rows:
-        key = row.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        points.append(Belief(row))
-    return BeliefPointSet(tuple(points))
+    draws = rng.dirichlet(np.ones(num_states), size=count)
+    rows = np.vstack((draws, np.full((1, num_states), 1.0 / num_states), np.eye(num_states)))
+    _, first = np.unique(rows, axis=0, return_index=True)
+    return BeliefPointSet(rows[np.sort(first)])
 
 
 def initialize_value(pomdp: Pomdp) -> ValueFunction:

@@ -3,13 +3,18 @@
 Everything is dense numpy: paper-scale models (tens of states) never need
 sparsity.  Instances validate on construction and are frozen afterwards, so
 all operations here are pure functions that can be shared across workers.
+Every probability table (a belief, a belief point set, a source likelihood,
+the model's transition and observation tensors) passes one validator,
+`_check_stochastic`: entries in [0, 1], each row summing to 1 within
+`ROW_SUM_TOL`, NaN rejected.  A perception action is a plain tuple of
+distinct nonnegative source indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,12 +52,15 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 
 def _check_stochastic(name: str, tensor: np.ndarray) -> None:
+    """The one probability validator: a nonempty tensor whose entries lie in
+    [0, 1] and whose rows along the last axis sum to 1.  The comparisons are
+    written so that NaN fails them."""
     if tensor.size == 0:
         raise ValueError(f"{name}: tensor is empty")
-    if tensor.min() < 0.0 or tensor.max() > 1.0:
+    if not (tensor.min() >= 0.0 and tensor.max() <= 1.0):
         raise ValueError(f"{name}: probabilities must lie in [0, 1]")
     deviation = np.abs(tensor.sum(axis=-1) - 1.0).max()
-    if deviation > ROW_SUM_TOL:
+    if not deviation <= ROW_SUM_TOL:
         raise ValueError(f"{name}: rows must sum to 1 (worst deviation {deviation:.3e})")
 
 
@@ -84,6 +92,8 @@ class Pomdp:
             raise ValueError("reward must have shape (S, A)")
         if not 0.0 <= float(self.discount) < 1.0:
             raise ValueError("discount must lie in [0, 1)")
+        if not np.isfinite(r).all():
+            raise ValueError("reward entries must be finite")
         _check_stochastic("transition", t)
         _check_stochastic("observation", o)
         object.__setattr__(self, "transition", t)
@@ -133,12 +143,9 @@ class Belief:
 
     def __post_init__(self) -> None:
         p = _frozen_array(self.probs)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("belief must be a nonempty vector")
-        if p.min() < 0.0:
-            raise ValueError("belief entries must be nonnegative")
-        if abs(p.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"belief must sum to 1, got {p.sum()!r}")
+        if p.ndim != 1:
+            raise ValueError("belief must be a vector")
+        _check_stochastic("belief", p)
         object.__setattr__(self, "probs", p)
 
     @property
@@ -183,38 +190,22 @@ class InfoSource:
         return self.likelihood.shape[2]
 
 
-@dataclass(frozen=True)
-class PerceptionAction:
-    """Ordered set of selected information-source indices."""
+class PerceptionAction(tuple):
+    """Ordered set of selected information-source indices.
 
-    selected: tuple[int, ...] = ()
+    A tuple of distinct nonnegative ints, checked on construction; it equals
+    the plain tuple of the same indices and is falsy when empty.
+    """
 
-    def __post_init__(self) -> None:
-        sel = tuple(int(i) for i in self.selected)
+    __slots__ = ()
+
+    def __new__(cls, selected: Iterable[int] = ()) -> PerceptionAction:
+        sel = super().__new__(cls, (int(i) for i in selected))
         if any(i < 0 for i in sel):
             raise ValueError("source indices must be nonnegative")
         if len(set(sel)) != len(sel):
             raise ValueError("source indices must be unique")
-        object.__setattr__(self, "selected", sel)
-
-    @staticmethod
-    def empty() -> "PerceptionAction":
-        return PerceptionAction(())
-
-    def plus(self, index: int) -> "PerceptionAction":
-        return PerceptionAction(self.selected + (int(index),))
-
-    def __len__(self) -> int:
-        return len(self.selected)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.selected)
-
-    def __contains__(self, index: object) -> bool:
-        return index in self.selected
-
-    def __bool__(self) -> bool:
-        return bool(self.selected)
+        return sel
 
 
 def belief_update_intrinsic(pomdp: Pomdp, belief: Belief, action: int, obs: int) -> Belief:

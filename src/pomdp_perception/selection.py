@@ -202,9 +202,9 @@ def marginal_gain(
     """Utility increase from adding `source` to `subset`."""
     if source in subset:
         raise ValueError(f"source {source} is already selected")
-    return mutual_information(problem, subset.plus(source), joint_cap) - mutual_information(
-        problem, subset, joint_cap
-    )
+    return mutual_information(
+        problem, PerceptionAction((*subset, source)), joint_cap
+    ) - mutual_information(problem, subset, joint_cap)
 
 
 def _first_within_tol(values: np.ndarray) -> int:
@@ -272,10 +272,10 @@ def generalized_greedy(
         pool = [j for j in pool if j != j_star and chosen_cost + costs[j] <= problem.budget]
 
     if not affordable:
-        return SelectionOutcome(PerceptionAction.empty(), 0.0, 0.0)
+        return SelectionOutcome(PerceptionAction(), 0.0, 0.0)
     best_single = affordable[_first_within_tol(-h_singles)]
     if h_chosen <= h_singles.min() + _TIE_TOL:
-        picked = PerceptionAction(tuple(chosen))
+        picked = PerceptionAction(chosen)
         picked_cost = chosen_cost
     else:
         picked = PerceptionAction((best_single,))
@@ -364,7 +364,7 @@ def _subset_row_index(
 
 def _full_joint(problem: SelectionProblem, prior: Belief, joint_cap: int):
     """Prior probabilities of ALL sources' joint outcomes plus symbol indices."""
-    every = PerceptionAction(tuple(range(problem.num_sources)))
+    every = PerceptionAction(range(problem.num_sources))
     outcome_probs = _joint_weights(
         _likelihood_slices(problem, every), problem.belief.num_states, joint_cap
     ) @ prior.probs

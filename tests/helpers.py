@@ -220,6 +220,23 @@ def oracle_greedy(
 # ---------------------------------------------------------------------------
 
 
+def oracle_sample_beliefs(num_states: int, count: int, seed: int) -> np.ndarray:
+    """The sampled belief rows as a loop: the flat-Dirichlet draws, then the
+    uniform belief, then the corners, each row kept unless a row with the
+    same bytes came before it."""
+    rng = np.random.default_rng(seed)
+    rows = list(rng.dirichlet(np.ones(num_states), size=count))
+    rows.append(np.full(num_states, 1.0 / num_states))
+    rows.extend(np.eye(num_states))
+    seen: set[bytes] = set()
+    kept = []
+    for row in rows:
+        if row.tobytes() not in seen:
+            seen.add(row.tobytes())
+            kept.append(row)
+    return np.array(kept)
+
+
 def mdp_value_iteration(transition, reward, discount, tol=1e-12, max_iter=200000) -> np.ndarray:
     """Tabular value iteration on the fully observable model."""
     values = np.zeros(transition.shape[0])

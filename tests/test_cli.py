@@ -6,6 +6,7 @@ from pomdp_perception import (
     build_pomdp,
     cli,
     read_scenario_file,
+    write_pomdp_file,
     write_scenario_file,
 )
 
@@ -104,3 +105,31 @@ def test_simulate_rejects_action_tags_the_model_lacks(tmp_path, capsys):
         assert cli.main(simulate + rest) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "nonnegative" in err and "beyond the scenario's 5 actions" in err
+
+
+def test_non_finite_scenario_and_model_files_exit_1(tmp_path, capsys):
+    scenario = tiny_scenario_file(tmp_path)
+    pomdp = build_pomdp(read_scenario_file(scenario))
+    with open(scenario, encoding="utf-8") as fh:
+        text = fh.read()
+    assert "goal_reward 10.0\n" in text
+    nan_scenario = tmp_path / "nan_reward.txt"
+    nan_scenario.write_text(text.replace("goal_reward 10.0\n", "goal_reward nan\n"))
+    vf_path = tmp_path / "vf.txt"
+    coeffs = " ".join(["0.0"] * pomdp.num_states)
+    vf_path.write_text(f"alphas v1\nstates {pomdp.num_states}\ncount 1\n0 {coeffs}\n")
+    simulate = ["simulate", "--scenario", str(nan_scenario), "--value-function", str(vf_path)]
+    rest = ["--policies", "none", "--runs", "1", "--out-dir", str(tmp_path / "sim")]
+    assert cli.main(simulate + rest) == cli.EXIT_CONFIG
+    assert "goal_reward must be finite" in capsys.readouterr().err
+
+    model = tmp_path / "model.txt"
+    write_pomdp_file(pomdp, str(model))
+    lines = model.read_text(encoding="utf-8").splitlines()
+    row = lines.index("transition") + 1
+    lines[row] = " ".join(["nan"] + lines[row].split()[1:])
+    model.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "model_vf.txt"
+    assert cli.main(["solve", "--model", str(model), "--out", str(out), "--beliefs", "20"]) == cli.EXIT_CONFIG
+    assert "transition: probabilities must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()

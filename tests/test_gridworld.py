@@ -340,7 +340,7 @@ def test_random_policy_respects_the_cost_budget():
         assert all(len(step.selected) == 2 for step in unit.steps)
         # The same draw: the kept source is the first of the unit-cost pair.
         for cheap, dear in zip(unit.steps, record.steps):
-            assert dear.selected.selected == cheap.selected.selected[:1]
+            assert dear.selected == cheap.selected[:1]
 
 
 def test_episode_records_zero_likelihood_as_failure(tiny_solution, monkeypatch):
@@ -350,9 +350,31 @@ def test_episode_records_zero_likelihood_as_failure(tiny_solution, monkeypatch):
         raise ZeroLikelihoodObservation("forced")
 
     monkeypatch.setattr(gridworld, "belief_update_intrinsic", boom)
-    record = run_episode(pomdp, vf, scenario, "none", 0, seed=3)
+    for policy, k in (("none", 0), ("random", 1)):
+        record = run_episode(pomdp, vf, scenario, policy, k, seed=3)
+        assert record.failed
+        assert len(record.steps) == 1
+        # An impossible intrinsic observation is recorded before any selection.
+        assert not record.steps[0].selected
+
+
+def test_episode_records_an_impossible_auxiliary_report_as_failure(monkeypatch):
+    scenario = default_scenario()
+    pomdp = build_pomdp(scenario)
+    vf = initialize_value(pomdp)
+    drawn = run_episode(pomdp, vf, scenario, "random", 2, seed=3).steps[0].selected
+    passed = []
+
+    def boom(belief, action, selected, sources, symbols):
+        passed.append(selected)
+        raise ZeroLikelihoodObservation("forced")
+
+    monkeypatch.setattr(gridworld, "belief_update_auxiliary", boom)
+    record = run_episode(pomdp, vf, scenario, "random", 2, seed=3)
     assert record.failed
     assert len(record.steps) == 1
+    assert len(drawn) == 2
+    assert record.steps[0].selected == drawn == passed[0]
 
 
 def test_perfect_coverage_reduces_to_the_mdp_policy():

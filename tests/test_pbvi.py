@@ -32,6 +32,7 @@ from helpers import (
     mdp_value_iteration,
     oracle_backup,
     oracle_one_step_value,
+    oracle_sample_beliefs,
     random_belief,
     random_pomdp,
 )
@@ -78,6 +79,37 @@ def test_sampling_flat_dirichlet_moments():
 def test_sampling_count_must_be_positive():
     with pytest.raises(ValueError):
         sample_beliefs_uniform(3, 0, seed=0)
+
+
+@pytest.mark.parametrize("num_states", [1, 2, 5, 64])
+def test_sampling_matches_the_first_copy_loop(num_states):
+    for count in (1, 3, 40, 500):
+        for seed in (0, 1, 9):
+            points = sample_beliefs_uniform(num_states, count, seed=seed)
+            expected = oracle_sample_beliefs(num_states, count, seed)
+            assert points.matrix.dtype == expected.dtype
+            assert np.array_equal(points.matrix, expected)
+    if num_states == 1:
+        # Every draw, the uniform belief and the corner are the same row.
+        assert len(sample_beliefs_uniform(1, 3, seed=0)) == 1
+
+
+def test_belief_point_set_validates_and_keeps_a_read_only_copy():
+    rows = np.array([[0.25, 0.75], [1.0, 0.0]])
+    points = BeliefPointSet(rows)
+    rows[0] = [0.5, 0.5]
+    assert np.array_equal(points.matrix, [[0.25, 0.75], [1.0, 0.0]])
+    assert not points.matrix.flags.writeable
+    assert len(points) == 2 and points.num_states == 2
+    for bad, message in (
+        ([0.5, 0.5], "matrix"),
+        (np.empty((0, 2)), "empty"),
+        ([[1.0, 0.0], [1.2, -0.2]], r"\[0, 1\]"),
+        ([[0.6, 0.5]], "sum to 1"),
+        ([[np.nan, 1.0]], r"\[0, 1\]"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            BeliefPointSet(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +218,7 @@ def test_backup_discount_zero_returns_best_reward_rows():
     vf = backup(p, initialize_value(p), points)
     for coeffs, action in zip(vf.matrix, vf.actions):
         assert np.allclose(coeffs, p.reward[:, action], atol=1e-12)
-    for b in points.points:
+    for b in map(Belief, points.matrix):
         rewards = [float(b.probs @ p.reward[:, a]) for a in range(4)]
         assert value(vf, b) == pytest.approx(max(rewards), abs=1e-12)
 
@@ -198,7 +230,7 @@ def test_backup_matches_one_step_expansion_oracle():
     init = initialize_value(p)
     low = float(init.matrix[0][0])
     vf = backup(p, init, points)
-    for b in points.points:
+    for b in map(Belief, points.matrix):
         expected = oracle_one_step_value(p, b, lambda _: low)
         assert value(vf, b) == pytest.approx(expected, abs=1e-10)
 
@@ -286,7 +318,7 @@ def test_backup_matches_the_plain_loop_on_a_diagonal_plus_uniform_sensor():
     floor, rows, departures = p.sensor_split
     assert rows.shape == (1, 5, 9) and np.all(floor > 0.0) and np.all(departures > 0.0)
     rng = np.random.default_rng(27)
-    points = BeliefPointSet(tuple(random_belief(rng, 9) for _ in range(60)))
+    points = BeliefPointSet([random_belief(rng, 9).probs for _ in range(60)])
     assert_backup_matches_oracle(p, random_previous(rng, 8, 9, 5), points)
 
 
@@ -342,7 +374,7 @@ def test_backup_settles_exact_ties_between_duplicate_vectors_like_the_plain_loop
 
 
 def test_prune_drops_duplicates_and_dominated():
-    points = BeliefPointSet((Belief.uniform(2), Belief.point_mass(2, 0), Belief.point_mass(2, 1)))
+    points = BeliefPointSet([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
     duplicated = ValueFunction(
         (AlphaVector(np.array([1.0, 1.0]), 0), AlphaVector(np.array([1.0, 1.0]), 0))
     )

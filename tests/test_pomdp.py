@@ -98,13 +98,35 @@ def test_info_source_validation():
         InfoSource(likelihood=bad, cost=1.0)
 
 
+def test_non_finite_inputs_are_rejected():
+    good = identity_obs_pomdp()
+    with pytest.raises(ValueError, match="belief"):
+        Belief(np.array([np.nan, np.nan]))
+    for field, bad_value in (("transition", np.nan), ("observation", np.nan), ("reward", np.inf)):
+        tensors = {f: np.array(getattr(good, f)) for f in ("transition", "observation", "reward")}
+        tensors[field][0, 0, ...] = bad_value
+        with pytest.raises(ValueError, match=field):
+            Pomdp(discount=good.discount, **tensors)
+    reward = np.array(good.reward)
+    reward[1, 1] = np.nan
+    with pytest.raises(ValueError, match="reward"):
+        Pomdp(good.transition, good.observation, reward, good.discount)
+    lik = np.full((2, 2, 2), 0.5)
+    lik[1, 0, :] = np.nan
+    with pytest.raises(ValueError, match="likelihood"):
+        InfoSource(likelihood=lik, cost=1.0)
+
+
 def test_perception_action_validation():
-    assert len(PerceptionAction.empty()) == 0
-    assert not PerceptionAction.empty()
+    assert len(PerceptionAction()) == 0
+    assert not PerceptionAction()
+    assert PerceptionAction() == ()
     act = PerceptionAction((3, 1, 2))
     assert tuple(act) == (3, 1, 2)
+    assert act == (3, 1, 2) and hash(act) == hash((3, 1, 2))
+    assert [type(i) for i in PerceptionAction(np.array([2, 0]))] == [int, int]
     assert 1 in act and 0 not in act
-    assert act.plus(0).selected == (3, 1, 2, 0)
+    assert PerceptionAction((*act, 0)) == (3, 1, 2, 0)
     with pytest.raises(ValueError, match="unique"):
         PerceptionAction((1, 1))
     with pytest.raises(ValueError, match="nonnegative"):
@@ -167,7 +189,7 @@ def test_intrinsic_update_zero_likelihood_raises():
 
 def test_auxiliary_update_empty_selection_returns_belief_unchanged():
     b = Belief(np.array([0.3, 0.7]))
-    out = belief_update_auxiliary(b, 0, PerceptionAction.empty(), [], ())
+    out = belief_update_auxiliary(b, 0, PerceptionAction(), [], ())
     assert out is b
 
 

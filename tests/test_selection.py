@@ -84,7 +84,7 @@ def test_entropy_trivia():
 def test_conditional_entropy_empty_subset_is_belief_entropy():
     rng = np.random.default_rng(1)
     problem = make_problem(rng)
-    assert conditional_entropy(problem, PerceptionAction.empty()) == pytest.approx(
+    assert conditional_entropy(problem, PerceptionAction()) == pytest.approx(
         entropy(problem.belief), abs=1e-12
     )
 
@@ -125,7 +125,7 @@ def test_mutual_information_empty_subset_is_exactly_zero():
     rng = np.random.default_rng(5)
     for _ in range(10):
         problem = make_problem(rng)
-        assert mutual_information(problem, PerceptionAction.empty()) == 0.0
+        assert mutual_information(problem, PerceptionAction()) == 0.0
 
 
 def test_mutual_information_revealing_source_recovers_full_entropy():
@@ -166,7 +166,7 @@ def test_marginal_gain_trivia():
         belief=b, action=0, sources=(informative, uninformative_source(4)), budget=2.0
     )
     assert marginal_gain(problem, PerceptionAction((0,)), 1) == pytest.approx(0.0, abs=1e-12)
-    assert marginal_gain(problem, PerceptionAction.empty(), 0) == pytest.approx(
+    assert marginal_gain(problem, PerceptionAction(), 0) == pytest.approx(
         mutual_information(problem, PerceptionAction((0,))), abs=1e-12
     )
     with pytest.raises(ValueError, match="already"):
@@ -214,7 +214,7 @@ def test_greedy_unaffordable_returns_empty():
         budget=0.9 * min(s.cost for s in sources),
     )
     outcome = generalized_greedy(problem)
-    assert outcome.selected == PerceptionAction.empty()
+    assert outcome.selected == ()
     assert outcome.utility == 0.0
     assert outcome.total_cost == 0.0
 
@@ -389,7 +389,7 @@ def test_brute_force_all_uninformative_returns_empty():
         budget=5.0,
     )
     outcome = brute_force_optimal(problem)
-    assert outcome.selected == PerceptionAction.empty()
+    assert outcome.selected == ()
     assert outcome.utility == 0.0
 
 
