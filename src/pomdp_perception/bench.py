@@ -92,7 +92,11 @@ def random_selection_problem(
 
 @dataclass(frozen=True)
 class BenchRow:
-    """Per-instance benchmark results, one CSV row."""
+    """Per-instance benchmark results, one CSV row.
+
+    `solve_converged` is not a CSV column; `select-bench` counts an instance
+    whose solve stopped unconverged as a failure.
+    """
 
     seed: int
     n: int
@@ -103,6 +107,7 @@ class BenchRow:
     theorem1_pass: bool
     theorem2_pass: bool
     theorem3_pass: bool
+    solve_converged: bool
 
 
 def evaluate_instance(
@@ -112,8 +117,8 @@ def evaluate_instance(
 ) -> BenchRow:
     """Run all three guarantee checks on the instance (base_seed, index).
 
-    The value-loss check uses a fully solved value function on the instance's
-    random model.
+    The value-loss check uses the value function solved on the instance's
+    random model; `solve_converged` records whether that solve converged.
     """
     rng = np.random.default_rng([base_seed, index])
     num_states = int(rng.integers(2, config.max_states + 1))
@@ -131,8 +136,10 @@ def evaluate_instance(
     distance = check_distance_bound(problem, prior, greedy=greedy, optimal=optimal)
 
     points = sample_beliefs_uniform(num_states, config.solver_points, seed=index)
-    vf = solve(pomdp, points, tol=config.solver_tol, max_iter=config.solver_max_iter).value_function
-    value_report = check_value_bound(vf, problem, prior, pomdp, greedy=greedy, optimal=optimal)
+    solved = solve(pomdp, points, tol=config.solver_tol, max_iter=config.solver_max_iter)
+    value_report = check_value_bound(
+        solved.value_function, problem, prior, pomdp, greedy=greedy, optimal=optimal
+    )
 
     return BenchRow(
         seed=index,
@@ -144,6 +151,7 @@ def evaluate_instance(
         theorem1_pass=bool(t1),
         theorem2_pass=distance.passed,
         theorem3_pass=value_report.passed,
+        solve_converged=solved.converged,
     )
 
 

@@ -169,7 +169,9 @@ def cmd_select_bench(args) -> int:
     rows = bench.run_bench(args.instances, base_seed=args.seed, config=config)
     _write_lines(args.out, bench.bench_csv_lines(rows))
     failures = sum(
-        1 for r in rows if not (r.theorem1_pass and r.theorem2_pass and r.theorem3_pass)
+        1
+        for r in rows
+        if not (r.theorem1_pass and r.theorem2_pass and r.theorem3_pass and r.solve_converged)
     )
     print(
         f"select-bench: instances={len(rows)} failures={failures} "

@@ -139,10 +139,14 @@ def sample_beliefs_uniform(num_states: int, count: int, seed: int) -> BeliefPoin
 
     The uniform belief and all simplex corners are always appended so the set
     covers the extremes regardless of count.  Exact duplicate rows are then
-    dropped, the first copy kept, so the rows stay in draw order.
+    dropped, the first copy kept, so the rows stay in draw order.  With one
+    state the simplex is the single point [1.0]; the flat Dirichlet can
+    return 0.9999999999999999 there, so that point is returned alone.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if num_states == 1:
+        return BeliefPointSet(np.ones((1, 1)))
     rng = np.random.default_rng(seed)
     draws = rng.dirichlet(np.ones(num_states), size=count)
     rows = np.vstack((draws, np.full((1, num_states), 1.0 / num_states), np.eye(num_states)))

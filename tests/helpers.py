@@ -167,6 +167,54 @@ def oracle_marginal_gain_closed_form(
     return (h_joint - h_subset) - h_j_given_state
 
 
+def oracle_bound_sides(
+    belief: np.ndarray,
+    prior: np.ndarray,
+    slices: list[np.ndarray],
+    greedy: tuple[int, ...],
+    optimal: tuple[int, ...],
+    alphas: np.ndarray,
+    reward: np.ndarray,
+    discount: float,
+) -> tuple[float, float, float, float]:
+    """(lhs, rhs) of the belief-distance check, then (lhs, rhs) of the
+    value-loss check, as one loop over the joint reports of greedy | optimal.
+
+    Each report has its probability under `prior`; reports of probability 0
+    are skipped.  Distance: E|b_greedy - b_optimal|_1 against
+    sqrt((2/sqrt(e)) * E[KL(b_optimal || belief)]).  Value: E[V(b_greedy) -
+    V(b_optimal)], V the max over the rows of `alphas`, against the distance
+    rhs times max(|R_max|, |R_min|) / (1 - discount).
+    """
+    n = len(belief)
+    union = sorted(set(greedy) | set(optimal))
+
+    def posterior(subset, report):
+        weights = [belief[s] * math.prod(slices[i][s, report[i]] for i in subset) for s in range(n)]
+        total = sum(weights)
+        return [w / total for w in weights]
+
+    def value(b):
+        return max(sum(row[s] * b[s] for s in range(n)) for row in alphas)
+
+    distance = expected_kl = loss = 0.0
+    for symbols in product(*(range(slices[i].shape[1]) for i in union)):
+        report = dict(zip(union, symbols))
+        p_report = sum(prior[s] * math.prod(slices[i][s, report[i]] for i in union) for s in range(n))
+        if p_report == 0.0:
+            continue
+        post_g = posterior(greedy, report)
+        post_o = posterior(optimal, report)
+        distance += p_report * sum(abs(g - o) for g, o in zip(post_g, post_o))
+        expected_kl += p_report * sum(
+            o * math.log(o / belief[s]) for s, o in enumerate(post_o) if o > 0.0
+        )
+        loss += p_report * (value(post_g) - value(post_o))
+    delta = math.sqrt(max(2.0 / math.sqrt(math.e) * expected_kl, 0.0))
+    reward_scale = max(abs(float(x)) for x in np.ravel(reward))
+    return distance, delta, loss, delta * reward_scale / (1.0 - discount)
+
+
 def oracle_greedy(
     belief: np.ndarray,
     slices: list[np.ndarray],
@@ -223,7 +271,9 @@ def oracle_greedy(
 def oracle_sample_beliefs(num_states: int, count: int, seed: int) -> np.ndarray:
     """The sampled belief rows as a loop: the flat-Dirichlet draws, then the
     uniform belief, then the corners, each row kept unless a row with the
-    same bytes came before it."""
+    same bytes came before it.  One state gives the one point [1.0]."""
+    if num_states == 1:
+        return np.array([[1.0]])
     rng = np.random.default_rng(seed)
     rows = list(rng.dirichlet(np.ones(num_states), size=count))
     rows.append(np.full(num_states, 1.0 / num_states))

@@ -1,6 +1,9 @@
 """The select-bench instance generator and its solves."""
 
-from pomdp_perception import bench, pbvi
+import numpy as np
+import pytest
+
+from pomdp_perception import bench, check_distance_bound, pbvi
 
 
 def test_select_bench_solves_converge_on_the_first_hundred_instances(monkeypatch):
@@ -16,3 +19,32 @@ def test_select_bench_solves_converge_on_the_first_hundred_instances(monkeypatch
     assert [row.seed for row in rows] == list(range(100))
     assert len(results) == 100
     assert [i for i, result in enumerate(results) if not result.converged] == []
+
+
+def test_an_unconverged_solve_is_recorded_in_the_row():
+    assert bench.evaluate_instance(0, 0).solve_converged
+    row = bench.evaluate_instance(0, 0, bench.BenchConfig(solver_max_iter=1))
+    assert row.solve_converged is False
+
+
+def select_bench_problem(base_seed, index, config=bench.BenchConfig()):
+    """The selection problem of instance (base_seed, index), drawn in
+    evaluate_instance's order."""
+    rng = np.random.default_rng([base_seed, index])
+    num_states = int(rng.integers(2, config.max_states + 1))
+    num_actions = int(rng.integers(2, 4))
+    num_observations = int(rng.integers(2, config.max_states + 1))
+    bench.random_pomdp(rng, num_states, num_actions, num_observations, config.discount)
+    return bench.random_selection_problem(rng, num_states, num_actions, config)
+
+
+def test_instance_20_37_is_a_counterexample_to_the_paper_form_of_theorem_2():
+    problem = select_bench_problem(20, 37)
+    report = check_distance_bound(problem, problem.belief)
+    assert report.greedy == (4, 3) and report.optimal == (1, 2)
+    assert report.lhs == pytest.approx(0.900059, abs=1e-6)
+    assert report.rhs == pytest.approx(0.796765, abs=1e-6)
+    assert not report.passed
+    row = bench.evaluate_instance(20, 37)
+    assert (row.n, row.budget) == (problem.num_sources, problem.budget)
+    assert (row.theorem1_pass, row.theorem2_pass, row.theorem3_pass) == (True, False, True)

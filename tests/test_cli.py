@@ -3,8 +3,10 @@
 from pomdp_perception import (
     Scenario,
     UavSpec,
+    bench,
     build_pomdp,
     cli,
+    pbvi,
     read_scenario_file,
     write_pomdp_file,
     write_scenario_file,
@@ -20,6 +22,20 @@ def test_select_bench_writes_a_versioned_csv(tmp_path, capsys):
     rows = lines[2:]
     assert [row.split(",")[0] for row in rows] == ["0", "1", "2", "3", "4"]
     assert "select-bench: instances=5" in capsys.readouterr().out
+
+
+def test_select_bench_counts_an_unconverged_solve_as_a_failure(tmp_path, capsys, monkeypatch):
+    def one_backup(pomdp, points, tol, max_iter):
+        return pbvi.solve(pomdp, points, tol=tol, max_iter=1)
+
+    monkeypatch.setattr(bench, "solve", one_backup)
+    out = tmp_path / "bench.csv"
+    assert cli.main(["select-bench", "--instances", "3", "--out", str(out)]) == cli.EXIT_OK
+    # Every theorem check passes; only the solves stop unconverged.
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[1].endswith(",theorem1_pass,theorem2_pass,theorem3_pass")
+    assert [row.split(",")[-3:] for row in lines[2:]] == [["1", "1", "1"]] * 3
+    assert "select-bench: instances=3 failures=3 " in capsys.readouterr().out
 
 
 def test_select_bench_rejects_zero_instances(tmp_path):

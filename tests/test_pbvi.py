@@ -92,6 +92,8 @@ def test_sampling_matches_the_first_copy_loop(num_states):
     if num_states == 1:
         # Every draw, the uniform belief and the corner are the same row.
         assert len(sample_beliefs_uniform(1, 3, seed=0)) == 1
+        # The flat Dirichlet draws 0.9999999999999999 among 100 draws here.
+        assert len(sample_beliefs_uniform(1, 100, seed=0)) == 1
 
 
 def test_belief_point_set_validates_and_keeps_a_read_only_copy():

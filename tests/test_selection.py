@@ -9,10 +9,12 @@ from pomdp_perception import (
     Belief,
     InfoSource,
     PerceptionAction,
+    SelectionOutcome,
     SelectionProblem,
     GREEDY_GUARANTEE,
     JointAlphabetTooLarge,
     TooManySources,
+    ValueFunction,
     brute_force_optimal,
     check_distance_bound,
     check_value_bound,
@@ -29,6 +31,7 @@ from pomdp_perception import (
     uav_sources_at,
 )
 from helpers import (
+    oracle_bound_sides,
     oracle_conditional_entropy,
     oracle_greedy,
     oracle_marginal_gain_closed_form,
@@ -457,6 +460,29 @@ def test_distance_bound_uninformative_sources_both_sides_zero():
     assert report.passed
 
 
+def test_bound_checks_cap_only_the_union_of_greedy_and_optimal():
+    # Six three-symbol sources (729 joint reports) and a budget for two:
+    # greedy and optimal each take at most two, so their union has at most
+    # 81 joint reports.
+    rng = np.random.default_rng(25)
+    sources = tuple(
+        InfoSource(likelihood=rng.dirichlet(np.ones(3), size=(4, 1)), cost=1.0) for _ in range(6)
+    )
+    problem = SelectionProblem(belief=random_belief(rng, 4), action=0, sources=sources, budget=2.0)
+    assert check_distance_bound(problem, problem.belief, joint_cap=100) == check_distance_bound(
+        problem, problem.belief
+    )
+
+    def pair(subset):
+        return SelectionOutcome(PerceptionAction(subset), 0.0, 2.0)
+
+    # Each pair has 9 joint reports, their union 81.
+    with pytest.raises(JointAlphabetTooLarge):
+        check_distance_bound(
+            problem, problem.belief, joint_cap=9, greedy=pair((0, 1)), optimal=pair((2, 3))
+        )
+
+
 def test_distance_bound_random_instances_pass():
     rng = np.random.default_rng(21)
     for _ in range(100):
@@ -491,3 +517,26 @@ def test_value_bound_zero_discount():
     distance = check_distance_bound(problem, problem.belief)
     assert report.rhs == pytest.approx(distance.rhs * reward_scale, abs=1e-12)
     assert report.passed
+
+
+def test_bound_sides_match_the_plain_loop_oracle():
+    rng = np.random.default_rng(24)
+    unsorted_greedy = 0
+    for _ in range(60):
+        num_states = int(rng.integers(2, 6))
+        problem = make_problem(rng, num_states=num_states, num_sources=int(rng.integers(2, 6)))
+        pomdp = random_pomdp(rng, num_states, 2, 2, discount=0.9)
+        vf = ValueFunction.from_arrays(rng.normal(size=(3, num_states)), [0, 1, 0])
+        for prior in (problem.belief, random_belief(rng, num_states)):
+            distance = check_distance_bound(problem, prior)
+            value = check_value_bound(vf, problem, prior, pomdp)
+            assert (value.greedy, value.optimal) == (distance.greedy, distance.optimal)
+            expected = oracle_bound_sides(
+                problem.belief.probs, prior.probs, slices(problem, range(problem.num_sources)),
+                distance.greedy, distance.optimal, vf.matrix, pomdp.reward, pomdp.discount,
+            )
+            got = (distance.lhs, distance.rhs, value.lhs, value.rhs)
+            assert got == pytest.approx(expected, rel=0, abs=1e-12)
+        unsorted_greedy += list(distance.greedy) != sorted(distance.greedy)
+    # Greedy sets come in pick order, not index order.
+    assert unsorted_greedy > 0
