@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -143,6 +144,17 @@ class Scenario:
     def rc_cell(self, row: int, col: int) -> int:
         return row * self.width + col
 
+    @cached_property
+    def patrol_sources(self) -> tuple[tuple[InfoSource, ...], ...]:
+        """Per UAV, its source at each of its waypoints, in path order.
+
+        Built on first use and kept with the scenario, which is frozen; the
+        sources are read-only, so every step and episode can share them.
+        """
+        return tuple(
+            tuple(_uav_source(self, uav, center) for center in uav.waypoints) for uav in self.uavs
+        )
+
 
 def default_scenario() -> Scenario:
     """The stock 8x8 layout: diagonal start/goal, scattered obstacles, and 12
@@ -190,25 +202,28 @@ def build_pomdp(scenario: Scenario) -> Pomdp:
     goal = scenario.goal_cell
     side = (1.0 - scenario.move_success_prob) / 3.0
 
-    def neighbor(cell: int, action: int) -> int | None:
-        row, col = scenario.cell_rc(cell)
-        dr, dc = _MOVES[action]
-        row, col = row + dr, col + dc
-        if 0 <= row < scenario.height and 0 <= col < scenario.width:
-            return scenario.rc_cell(row, col)
-        return None
+    # neighbor[a, s]: the cell a move reaches from s, s itself off the grid.
+    cells = np.arange(n)
+    rows, cols = np.divmod(cells, scenario.width)
+    neighbor = np.empty((len(_MOVES), n), dtype=int)
+    for a, (dr, dc) in _MOVES.items():
+        r, c = rows + dr, cols + dc
+        inside = (0 <= r) & (r < scenario.height) & (0 <= c) & (c < scenario.width)
+        neighbor[a] = np.where(inside, r * scenario.width + c, cells)
 
-    for s in range(n):
-        if s == goal:
-            transition[s, :, s] = 1.0
-            continue
-        for a in _MOVES:
-            for target, prob in ((neighbor(s, a), scenario.move_success_prob),) + tuple(
-                (neighbor(s, p), side) for p in _PERPENDICULAR[a]
-            ):
-                transition[s, a, s if target is None else target] += prob
-            transition[s, a, s] += side
-        transition[s, STOP, s] = 1.0
+    # Each entry sums its shares in one fixed order: success, the two
+    # perpendicular slips, staying.
+    movers = cells[cells != goal]
+    for a in _MOVES:
+        np.add.at(transition, (movers, a, neighbor[a, movers]), scenario.move_success_prob)
+        for p in _PERPENDICULAR[a]:
+            np.add.at(transition, (movers, a, neighbor[p, movers]), side)
+        np.add.at(transition, (movers, a, movers), side)
+    transition[movers, STOP, movers] = 1.0
+    transition[goal, :, goal] = 1.0
+    # Where every share folds into staying, p + 3 * side can round to just
+    # above 1.
+    np.minimum(transition, 1.0, out=transition)
 
     cell_reward = np.full(n, scenario.step_reward)
     cell_reward[list(scenario.obstacle_cells)] = scenario.obstacle_reward
@@ -239,35 +254,37 @@ def _fov_cells(scenario: Scenario, center: int, radius: int) -> list[int]:
     return cells
 
 
+def _uav_source(scenario: Scenario, uav: UavSpec, center: int) -> InfoSource:
+    n = scenario.num_cells
+    num_actions = len(ACTION_NAMES)
+    fov = _fov_cells(scenario, center, uav.fov_radius)
+    num_symbols = len(fov) + 1
+    likelihood = np.zeros((n, num_symbols))
+    likelihood[:, -1] = 1.0
+    miss = (1.0 - uav.detection_accuracy) / (num_symbols - 1)
+    for slot, cell in enumerate(fov):
+        likelihood[cell, :] = miss
+        likelihood[cell, slot] = uav.detection_accuracy
+    return InfoSource(
+        likelihood=np.repeat(likelihood[:, None, :], num_actions, axis=1),
+        cost=uav.cost,
+    )
+
+
 def uav_sources_at(scenario: Scenario, t: int) -> list[InfoSource]:
-    """Information sources offered by the UAVs at step t.
+    """Information sources offered by the UAVs at step t, in UAV order.
 
     Each UAV sits at waypoint (t mod path length).  Its alphabet is the cells
     inside its field of view, in ascending order, plus a final "not seen"
     symbol.  A robot inside the FOV is reported at its true cell with
     detection_accuracy, the rest spread uniformly over the other FOV cells and
     "not seen"; a robot outside the FOV yields "not seen" with certainty.
+
+    Each UAV's source at each waypoint is built once per scenario, on the
+    first call, and the same read-only source is returned at every step that
+    visits that waypoint; the list itself is new on every call.
     """
-    n = scenario.num_cells
-    num_actions = len(ACTION_NAMES)
-    sources = []
-    for uav in scenario.uavs:
-        center = uav.waypoints[t % len(uav.waypoints)]
-        fov = _fov_cells(scenario, center, uav.fov_radius)
-        num_symbols = len(fov) + 1
-        likelihood = np.zeros((n, num_symbols))
-        likelihood[:, -1] = 1.0
-        miss = (1.0 - uav.detection_accuracy) / (num_symbols - 1)
-        for slot, cell in enumerate(fov):
-            likelihood[cell, :] = miss
-            likelihood[cell, slot] = uav.detection_accuracy
-        sources.append(
-            InfoSource(
-                likelihood=np.repeat(likelihood[:, None, :], num_actions, axis=1),
-                cost=uav.cost,
-            )
-        )
-    return sources
+    return [per_uav[t % len(per_uav)] for per_uav in scenario.patrol_sources]
 
 
 @dataclass(frozen=True)
@@ -319,9 +336,11 @@ def _select_sources(
     """Sources to query this step; k caps their summed cost under every policy.
 
     `random` draws up to k distinct sources among those costing at most k and
-    keeps them, in draw order, while their summed cost stays within k.
+    keeps them, in draw order, while their summed cost stays within k.  An
+    empty pool (`run_episode` passes one under `none` or k <= 0) selects
+    nothing and draws nothing.
     """
-    if policy == "none" or k <= 0 or not sources:
+    if not sources:
         return PerceptionAction()
     if policy == "random":
         affordable = [i for i, src in enumerate(sources) if src.cost <= k]
@@ -361,7 +380,8 @@ def run_episode(
     policy and fold their sampled reports into the belief.  Terminates on
     reaching the goal (checked before acting) or at the horizon.  k is the
     per-step cost budget of the queried sources, for the random policy as
-    for the greedy one.
+    for the greedy one.  Under `none`, or with k <= 0, the episode builds
+    and reads no UAV source.
 
     Transitions, intrinsic observations, auxiliary reports, and the random
     policy draw from four independent streams spawned from `seed`, so the
@@ -387,6 +407,7 @@ def run_episode(
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng_trans, rng_obs, rng_aux, rng_select = (np.random.default_rng(s) for s in seq.spawn(4))
 
+    wants_sources = policy != "none" and k > 0
     belief = Belief.uniform(pomdp.num_states)
     state = scenario.start_cell
     steps: list[StepRecord] = []
@@ -405,7 +426,7 @@ def run_episode(
         selected = PerceptionAction()
         try:
             belief = belief_update_intrinsic(pomdp, belief, action, obs)
-            sources = uav_sources_at(scenario, t)
+            sources = uav_sources_at(scenario, t) if wants_sources else []
             selected = _select_sources(policy, k, belief, action, sources, rng_select)
             symbols = tuple(
                 _sample_index(rng_aux, sources[i].likelihood[next_state, action]) for i in selected

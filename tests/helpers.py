@@ -264,6 +264,73 @@ def oracle_greedy(
 
 
 # ---------------------------------------------------------------------------
+# Grid-world oracles.  Actions are (up, right, down, left, stop); cells are
+# numbered row by row.
+# ---------------------------------------------------------------------------
+
+_GRID_MOVES = ((-1, 0), (0, 1), (1, 0), (0, -1))
+_GRID_PERPENDICULAR = ((3, 1), (0, 2), (3, 1), (0, 2))
+
+
+def oracle_grid_transition(width: int, height: int, goal: int, success: float) -> np.ndarray:
+    """T[s, a, s'] as a loop over cells: the success share, the two
+    perpendicular slips ((1 - success) / 3 each) and staying put, added to
+    each entry in that order, any share pointing off the grid added to s
+    itself; stop and every action at the goal stay put.  An entry that
+    rounds above 1 is read as 1."""
+    n = width * height
+    side = (1.0 - success) / 3.0
+    transition = np.zeros((n, 5, n))
+
+    def target(cell, move):
+        row, col = divmod(cell, width)
+        row, col = row + _GRID_MOVES[move][0], col + _GRID_MOVES[move][1]
+        return row * width + col if 0 <= row < height and 0 <= col < width else cell
+
+    for s in range(n):
+        if s == goal:
+            for a in range(5):
+                transition[s, a, s] = 1.0
+            continue
+        for a in range(4):
+            transition[s, a, target(s, a)] += success
+            for p in _GRID_PERPENDICULAR[a]:
+                transition[s, a, target(s, p)] += side
+            transition[s, a, s] += side
+            for s_next in range(n):
+                transition[s, a, s_next] = min(transition[s, a, s_next], 1.0)
+        transition[s, 4, s] = 1.0
+    return transition
+
+
+def oracle_uav_likelihood(
+    width: int, height: int, center: int, radius: int, accuracy: float
+) -> np.ndarray:
+    """L[s, a, y] of one UAV over a center: the symbols are the cells within
+    `radius` rows and columns of the center, ascending, then "not seen".  A
+    cell in view is reported as itself with `accuracy` and as each other
+    symbol with the rest split evenly; a cell out of view is "not seen"."""
+    n = width * height
+    crow, ccol = divmod(center, width)
+    view = [
+        cell
+        for cell in range(n)
+        if abs(cell // width - crow) <= radius and abs(cell % width - ccol) <= radius
+    ]
+    m = len(view) + 1
+    miss = (1.0 - accuracy) / (m - 1)
+    likelihood = np.zeros((n, 5, m))
+    for s in range(n):
+        for a in range(5):
+            for y in range(m):
+                if s not in view:
+                    likelihood[s, a, y] = 1.0 if y == m - 1 else 0.0
+                else:
+                    likelihood[s, a, y] = accuracy if y == view.index(s) else miss
+    return likelihood
+
+
+# ---------------------------------------------------------------------------
 # Planning oracles
 # ---------------------------------------------------------------------------
 

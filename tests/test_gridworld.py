@@ -1,6 +1,9 @@
 """Scenario construction, the navigation model, UAV sources, and rollouts."""
 
 import dataclasses
+import hashlib
+import json
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from pomdp_perception import (
     write_scenario_file,
 )
 from pomdp_perception.gridworld import DOWN, LEFT, RIGHT, STOP, UP
-from helpers import mdp_value_iteration
+from helpers import mdp_value_iteration, oracle_grid_transition, oracle_uav_likelihood
 
 
 def tiny_scenario(**overrides) -> Scenario:
@@ -47,6 +50,21 @@ def tiny_scenario(**overrides) -> Scenario:
     )
     defaults.update(overrides)
     return Scenario(**defaults)
+
+
+def lcm12_scenario() -> Scenario:
+    """A 4x4 grid whose two UAVs fly paths of 3 and 4 waypoints (period 12),
+    with different sensing models."""
+    return Scenario(
+        width=4,
+        height=4,
+        start_cell=12,
+        goal_cell=3,
+        uavs=(
+            UavSpec(waypoints=(0, 1, 5)),
+            UavSpec(waypoints=(10, 11, 15, 14), fov_radius=2, detection_accuracy=0.7, cost=0.5),
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +179,38 @@ def test_reward_is_collected_on_arrival():
     assert pomdp.reward[s, RIGHT] == pytest.approx(0.7 * 10.0 + 0.3 * -1.0)
 
 
+def test_transition_matches_the_plain_loop_bit_for_bit():
+    scenarios = [default_scenario(), tiny_scenario()]
+    rng = np.random.default_rng(0)
+    while len(scenarios) < 100:
+        width, height = (int(x) for x in rng.integers(1, 8, size=2))
+        if width * height < 2:
+            continue
+        goal = int(rng.integers(width * height))
+        success = float(rng.uniform(0.001, 1.0))
+        scenarios.append(
+            Scenario(width=width, height=height, start_cell=0, goal_cell=goal, move_success_prob=success)
+        )
+    for scenario in scenarios:
+        expected = oracle_grid_transition(
+            scenario.width, scenario.height, scenario.goal_cell, scenario.move_success_prob
+        )
+        assert np.array_equal(build_pomdp(scenario).transition, expected)
+
+
+def test_one_wide_and_one_tall_grids_build_for_every_success_probability():
+    # Where the success share and all three side shares fold into staying,
+    # p + 3 * ((1 - p) / 3) can round to 1 + 2**-52.
+    for width, height in ((1, 2), (2, 1)):
+        for success in np.linspace(0.001, 1.0, 1000):
+            scenario = Scenario(
+                width=width, height=height, start_cell=0, goal_cell=1, move_success_prob=float(success)
+            )
+            assert build_pomdp(scenario).transition.max() <= 1.0
+    column = Scenario(width=1, height=8, start_cell=7, goal_cell=0, move_success_prob=0.065)
+    assert build_pomdp(column).transition[7, DOWN, 7] == 1.0
+
+
 def test_intrinsic_sensor_spreads_errors_uniformly():
     scenario = default_scenario()
     pomdp = build_pomdp(scenario)
@@ -187,6 +237,49 @@ def test_uav_sources_are_valid_over_a_full_patrol_period():
             assert src.likelihood.shape[0] == 64
             assert src.likelihood.shape[1] == 5
             assert np.allclose(src.likelihood.sum(axis=2), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("make", [default_scenario, tiny_scenario, lcm12_scenario])
+def test_uav_sources_match_a_plain_rebuild_over_two_periods(make):
+    scenario = make()
+    period = math.lcm(*(len(uav.waypoints) for uav in scenario.uavs))
+    for t in range(2 * period):
+        sources = uav_sources_at(scenario, t)
+        assert len(sources) == len(scenario.uavs)
+        for src, uav in zip(sources, scenario.uavs):
+            center = uav.waypoints[t % len(uav.waypoints)]
+            expected = oracle_uav_likelihood(
+                scenario.width, scenario.height, center, uav.fov_radius, uav.detection_accuracy
+            )
+            assert np.array_equal(src.likelihood, expected)
+            assert src.cost == uav.cost
+            assert not src.likelihood.flags.writeable
+
+
+def test_uav_sources_are_built_once_per_waypoint_and_shared(monkeypatch):
+    built = []
+    original = gridworld._uav_source
+
+    def counting(scenario, uav, center):
+        built.append(center)
+        return original(scenario, uav, center)
+
+    monkeypatch.setattr(gridworld, "_uav_source", counting)
+    scenario = lcm12_scenario()
+    first = uav_sources_at(scenario, 0)
+    for t in range(24):
+        uav_sources_at(scenario, t)
+    assert sorted(built) == [0, 1, 5, 10, 11, 14, 15]
+    assert all(a is b for a, b in zip(uav_sources_at(scenario, 12), first))
+    # Each call returns a new list: mutating one leaves the next alone.
+    first.clear()
+    again = uav_sources_at(scenario, 0)
+    assert len(again) == 2 and again is not first
+    with pytest.raises(ValueError, match="read-only"):
+        again[0].likelihood[0, 0, 0] = 0.5
+    stock = default_scenario()
+    uav_sources_at(stock, 0)
+    assert len(built) == 7 + 48
 
 
 def test_uav_reports_not_seen_outside_fov():
@@ -396,6 +489,59 @@ def test_perfect_coverage_reduces_to_the_mdp_policy():
         for step in record.steps[1:]:
             assert q[step.state, step.action] >= q[step.state].max() - 0.05
     assert reached >= 8
+
+
+# monte_carlo(n_runs=5, base_seed=0, k=2) on the stock map under the QMDP
+# value function: the sha256 of the JSON list of each episode's
+# [state, action, selected] steps, and the discounted rewards.
+PINNED_STOCK_EPISODES = {
+    "none": (
+        "2823c79cff56315a9dc1162962fd60debfbeed1263a89d623101b34179d01940",
+        (-14.703831536927684, -14.090314580521328, -8.79056448206291, -11.781389260434668, -17.612988465948224),
+    ),
+    "random": (
+        "dbb241f9117b1fc347142b11659e607adf46e50e637d76138aa69ef8d07e2e85",
+        (-16.693193686663907, -10.678806000030812, -8.79056448206291, -8.857428978015339, -10.452083759079272),
+    ),
+    "greedy": (
+        "021fdc942ea7c5070903d8790ee1a3d3d3ed82c33c4c84e387975209d6d7721b",
+        (-11.635746224637534, -10.588938540061099, -8.183446691645166, -11.781389260434668, -8.706404840481856),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def stock_qmdp():
+    scenario = default_scenario()
+    pomdp = build_pomdp(scenario)
+    values = mdp_value_iteration(pomdp.transition, pomdp.reward, pomdp.discount)
+    q = pomdp.reward + pomdp.discount * np.einsum("san,n->sa", pomdp.transition, values)
+    return scenario, pomdp, ValueFunction.from_arrays(q.T, range(q.shape[1]))
+
+
+@pytest.mark.parametrize("policy", sorted(PINNED_STOCK_EPISODES))
+def test_stock_map_episodes_are_pinned(stock_qmdp, policy):
+    scenario, pomdp, vf = stock_qmdp
+    result = monte_carlo(pomdp, vf, scenario, policy, 2, n_runs=5, base_seed=0)
+    steps = [[[s.state, s.action, list(s.selected)] for s in e.steps] for e in result.episodes]
+    digest = hashlib.sha256(json.dumps(steps).encode()).hexdigest()
+    rewards = tuple(e.discounted_reward for e in result.episodes)
+    assert (digest, rewards) == PINNED_STOCK_EPISODES[policy]
+
+
+def test_blind_and_zero_budget_episodes_build_no_source(stock_qmdp, monkeypatch):
+    _, pomdp, vf = stock_qmdp
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("a UAV source was built")
+
+    monkeypatch.setattr(gridworld, "_uav_source", boom)
+    scenario = default_scenario()
+    assert run_episode(pomdp, vf, scenario, "none", 2, seed=0).steps
+    assert run_episode(pomdp, vf, scenario, "random", 0, seed=0).steps
+    assert run_episode(pomdp, vf, scenario, "greedy", 0, seed=0).steps
+    with pytest.raises(RuntimeError, match="source was built"):
+        run_episode(pomdp, vf, scenario, "random", 2, seed=0)
 
 
 # ---------------------------------------------------------------------------
