@@ -94,8 +94,8 @@ def random_selection_problem(
 class BenchRow:
     """Per-instance benchmark results, one CSV row.
 
-    `solve_converged` is not a CSV column; `select-bench` counts an instance
-    whose solve stopped unconverged as a failure.
+    `select-bench` counts an instance whose solve stopped unconverged as a
+    failure, as it does one whose theorem check fails.
     """
 
     seed: int
@@ -163,20 +163,22 @@ def run_bench(
     return [evaluate_instance(base_seed, i, config) for i in range(num_instances)]
 
 
-BENCH_CSV_HEADER = "# select-bench v1"
+BENCH_CSV_HEADER = "# select-bench v2"
+# The BenchRow fields written, in column order; booleans are written 0/1.
 BENCH_CSV_COLUMNS = (
-    "seed,n,budget,greedy_utility,optimal_utility,ratio,"
-    "theorem1_pass,theorem2_pass,theorem3_pass"
+    "seed", "n", "budget", "greedy_utility", "optimal_utility", "ratio",
+    "theorem1_pass", "theorem2_pass", "theorem3_pass", "solve_converged",
 )
 
 
+def _csv_field(value) -> str:
+    return repr(value) if isinstance(value, float) else str(int(value))
+
+
 def bench_csv_lines(rows: list[BenchRow]) -> list[str]:
-    lines = [BENCH_CSV_HEADER, BENCH_CSV_COLUMNS]
+    lines = [BENCH_CSV_HEADER, ",".join(BENCH_CSV_COLUMNS)]
     for r in rows:
-        lines.append(
-            f"{r.seed},{r.n},{r.budget!r},{r.greedy_utility!r},{r.optimal_utility!r},"
-            f"{r.ratio!r},{int(r.theorem1_pass)},{int(r.theorem2_pass)},{int(r.theorem3_pass)}"
-        )
+        lines.append(",".join(_csv_field(getattr(r, column)) for column in BENCH_CSV_COLUMNS))
     return lines
 
 

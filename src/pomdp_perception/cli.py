@@ -1,10 +1,25 @@
 """Command-line pipeline: solve, simulate, select-bench, report.
 
-Every subcommand is a deterministic function of its flags and seeds; output
-files carry a schema version on their first line.  Exit codes: 0 success,
-1 configuration error, 2 runtime numerical error, or a `solve` that stopped
-at --max-iter unconverged (its value file is still written, and a warning
-says so on stderr; `simulate` only warns when its own solve stops so).
+Every subcommand is a deterministic function of its flags and seeds.  Exit
+codes: 0 success, 1 configuration error (a missing or malformed input file
+among them), 2 runtime numerical error, or a `solve` that stopped at
+--max-iter unconverged (its value file is still written, and a warning says
+so on stderr; `simulate` only warns when its own solve stops so).
+
+Every file read or written opens with its version header line, checked on
+reading; '#' starts a comment.
+
+  scenario v1           a scenario (write_scenario_file); read by solve
+                        --scenario, simulate and report
+  pomdp v1              a model (write_pomdp_file); read by solve --model
+  alphas v1             a value function; written by solve --out, read by
+                        simulate --value-function
+  # rewards v1          rewards_<policy>.csv, one row per run; written by
+                        simulate, read by report
+  # visit-frequency v1  visits_<policy>.csv, visit counts per grid row;
+                        written by simulate, read by report
+  # select-bench v2     one row per instance; written by select-bench --out
+  # report v1           one row per policy; written by report --out
 """
 
 from __future__ import annotations
@@ -18,7 +33,6 @@ from . import bench
 from .gridworld import (
     PERCEPTION_POLICIES,
     InvalidScenario,
-    Scenario,
     build_pomdp,
     monte_carlo,
     read_scenario_file,
@@ -30,7 +44,7 @@ from .pbvi import (
     solve,
     write_value_function,
 )
-from .pomdp import ZeroLikelihoodObservation, read_pomdp_file
+from .pomdp import ZeroLikelihoodObservation, _read_lines, _write_lines, read_pomdp_file
 from .selection import GREEDY_GUARANTEE, JointAlphabetTooLarge, TooManySources
 
 EXIT_OK = 0
@@ -53,19 +67,8 @@ class _Parser(argparse.ArgumentParser):
         raise _ConfigError(message)
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _default_out_dir() -> str:
     return os.environ.get("POMDP_PERCEPTION_OUT", "out")
-
-
-def _load_scenario(path: str) -> Scenario:
-    if not os.path.exists(path):
-        raise _ConfigError(f"scenario file not found: {path}")
-    return read_scenario_file(path)
 
 
 def _policy_label(policy: str, k: int) -> str:
@@ -102,11 +105,9 @@ def cmd_solve(args) -> int:
     if args.tol <= 0:
         raise _ConfigError("--tol must be positive")
     if args.model:
-        if not os.path.exists(args.model):
-            raise _ConfigError(f"model file not found: {args.model}")
         pomdp = read_pomdp_file(args.model)
     else:
-        pomdp = build_pomdp(_load_scenario(args.scenario))
+        pomdp = build_pomdp(read_scenario_file(args.scenario))
     points = sample_beliefs_uniform(pomdp.num_states, args.beliefs, args.seed)
     result = solve(pomdp, points, tol=args.tol, max_iter=args.max_iter)
     write_value_function(result.value_function, args.out)
@@ -123,12 +124,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = read_scenario_file(args.scenario)
     policies = _parse_policies(args.policies, scenario.budget)
     pomdp = build_pomdp(scenario)
     if args.value_function:
-        if not os.path.exists(args.value_function):
-            raise _ConfigError(f"value-function file not found: {args.value_function}")
         vf = read_value_function(args.value_function)
     else:
         points = sample_beliefs_uniform(pomdp.num_states, args.beliefs, args.seed)
@@ -136,7 +135,6 @@ def cmd_simulate(args) -> int:
         if not result.converged:
             print(f"warning: {_unconverged(result)}", file=sys.stderr)
         vf = result.value_function
-    os.makedirs(args.out_dir, exist_ok=True)
     for policy, k in policies:
         label = _policy_label(policy, k)
         result = monte_carlo(pomdp, vf, scenario, policy, k, n_runs=args.runs, base_seed=args.seed)
@@ -181,14 +179,8 @@ def cmd_select_bench(args) -> int:
     return EXIT_OK
 
 
-def _read_csv_rows(path: str) -> list[dict[str, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    return list(csv.DictReader(lines))
-
-
 def cmd_report(args) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = read_scenario_file(args.scenario)
     reward_files = sorted(
         f for f in os.listdir(args.dir) if f.startswith("rewards_") and f.endswith(".csv")
     )
@@ -197,19 +189,17 @@ def cmd_report(args) -> int:
     lines = [REPORT_CSV_HEADER, "policy,runs,mean_discounted_reward,std_discounted_reward,obstacle_visits"]
     for fname in reward_files:
         label = fname[len("rewards_") : -len(".csv")]
-        rows = _read_csv_rows(os.path.join(args.dir, fname))
+        rows = csv.DictReader(_read_lines(os.path.join(args.dir, fname), REWARDS_CSV_HEADER))
         rewards = [float(r["discounted_reward"]) for r in rows]
         mean = sum(rewards) / len(rewards)
         std = (sum((x - mean) ** 2 for x in rewards) / len(rewards)) ** 0.5
         visits_path = os.path.join(args.dir, f"visits_{label}.csv")
         obstacle_visits = ""
         if os.path.exists(visits_path):
-            with open(visits_path, "r", encoding="utf-8") as fh:
-                grid = [
-                    [int(v) for v in ln.strip().split(",")]
-                    for ln in fh
-                    if ln.strip() and not ln.startswith("#")
-                ]
+            grid = [
+                [int(v) for v in line.split(",")]
+                for line in _read_lines(visits_path, VISITS_CSV_HEADER)
+            ]
             total = 0
             for cell in scenario.obstacle_cells:
                 row, col = scenario.cell_rc(cell)
@@ -225,7 +215,9 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="pomdp-perception", description=__doc__)
+    parser = _Parser(
+        prog="pomdp-perception", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve a model and write the value function")

@@ -11,7 +11,7 @@ query a random subset, or query the greedy mutual-information subset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -24,7 +24,8 @@ from .pomdp import (
     PerceptionAction,
     Pomdp,
     ZeroLikelihoodObservation,
-    _content_lines,
+    _read_lines,
+    _write_lines,
     belief_update_auxiliary,
     belief_update_intrinsic,
 )
@@ -483,64 +484,64 @@ def monte_carlo(
 # ---------------------------------------------------------------------------
 
 SCENARIO_FILE_HEADER = "scenario v1"
+# The one-value keys in file order, after grid, start and goal: (key, owner,
+# field, type), the owner being the scenario or the sensing model all UAVs
+# share.
+_SCENARIO_SCALARS = (
+    ("goal_reward", "scenario", "goal_reward", float),
+    ("obstacle_reward", "scenario", "obstacle_reward", float),
+    ("step_reward", "scenario", "step_reward", float),
+    ("move_success", "scenario", "move_success_prob", float),
+    ("sensor_accuracy", "scenario", "intrinsic_sensor_accuracy", float),
+    ("detection_accuracy", "uav", "detection_accuracy", float),
+    ("fov_radius", "uav", "fov_radius", int),
+    ("uav_cost", "uav", "cost", float),
+    ("budget", "scenario", "budget", int),
+    ("discount", "scenario", "discount", float),
+    ("horizon", "scenario", "horizon", int),
+)
 
 
 def write_scenario_file(scenario: Scenario, path: str) -> None:
+    # Each UAV's sensing model without its path; a scenario without UAVs
+    # writes UavSpec's defaults.
+    sensing = {replace(u, waypoints=(0,)) for u in scenario.uavs} or {UavSpec(waypoints=(0,))}
+    if len(sensing) > 1:
+        raise ValueError("scenario files support one shared uav sensing model")
+    owners = {"scenario": scenario, "uav": sensing.pop()}
+
     def rc(cell: int) -> str:
         row, col = scenario.cell_rc(cell)
         return f"{row} {col}"
 
-    if scenario.uavs:
-        fov = {u.fov_radius for u in scenario.uavs}
-        acc = {u.detection_accuracy for u in scenario.uavs}
-        cost = {u.cost for u in scenario.uavs}
-        if len(fov) > 1 or len(acc) > 1 or len(cost) > 1:
-            raise ValueError("scenario files support one shared uav sensing model")
-        fov_radius, accuracy, uav_cost = fov.pop(), acc.pop(), cost.pop()
-    else:
-        fov_radius, accuracy, uav_cost = 1, 0.9, 1.0
     lines = [
         SCENARIO_FILE_HEADER,
         f"grid {scenario.height} {scenario.width}",
         f"start {rc(scenario.start_cell)}",
         f"goal {rc(scenario.goal_cell)}",
-        f"goal_reward {scenario.goal_reward!r}",
-        f"obstacle_reward {scenario.obstacle_reward!r}",
-        f"step_reward {scenario.step_reward!r}",
-        f"move_success {scenario.move_success_prob!r}",
-        f"sensor_accuracy {scenario.intrinsic_sensor_accuracy!r}",
-        f"detection_accuracy {accuracy!r}",
-        f"fov_radius {fov_radius}",
-        f"uav_cost {uav_cost!r}",
-        f"budget {scenario.budget}",
-        f"discount {scenario.discount!r}",
-        f"horizon {scenario.horizon}",
     ]
-    for cell in sorted(scenario.obstacle_cells):
-        lines.append(f"obstacle {rc(cell)}")
-    for uav in scenario.uavs:
-        lines.append("uav " + " ".join(rc(w) for w in uav.waypoints))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    for key, owner, field, kind in _SCENARIO_SCALARS:
+        value = getattr(owners[owner], field)
+        lines.append(f"{key} {value!r}" if kind is float else f"{key} {value}")
+    lines.extend(f"obstacle {rc(cell)}" for cell in sorted(scenario.obstacle_cells))
+    lines.extend("uav " + " ".join(rc(w) for w in uav.waypoints) for uav in scenario.uavs)
+    _write_lines(path, lines)
 
 
 def read_scenario_file(path: str) -> Scenario:
-    lines = _content_lines(path)
-    if not lines or lines[0] != SCENARIO_FILE_HEADER:
-        raise ValueError(f"not a '{SCENARIO_FILE_HEADER}' file: {path}")
     scalars: dict[str, list[str]] = {}
-    obstacles: list[tuple[int, int]] = []
-    uav_paths: list[list[tuple[int, int]]] = []
-    for line in lines[1:]:
+    obstacles: list[list[str]] = []
+    uav_paths: list[list[str]] = []
+    for line in _read_lines(path, SCENARIO_FILE_HEADER):
         key, *rest = line.split()
         if key == "obstacle":
             if len(rest) != 2:
                 raise ValueError(f"obstacle wants 'row col', got {line!r}")
-            obstacles.append((int(rest[0]), int(rest[1])))
+            obstacles.append(rest)
         elif key == "uav":
             if len(rest) < 2 or len(rest) % 2 != 0:
                 raise ValueError(f"uav wants 'row col' pairs, got {line!r}")
-            uav_paths.append([(int(rest[i]), int(rest[i + 1])) for i in range(0, len(rest), 2)])
+            uav_paths.append(rest)
         elif key in scalars:
             raise ValueError(f"duplicate key {key!r}")
         else:
@@ -552,49 +553,29 @@ def read_scenario_file(path: str) -> Scenario:
         return scalars.pop(key)
 
     height, width = (int(v) for v in take("grid", 2))
-    start = tuple(int(v) for v in take("start", 2))
-    goal = tuple(int(v) for v in take("goal", 2))
-    goal_reward = float(take("goal_reward", 1)[0])
-    obstacle_reward = float(take("obstacle_reward", 1)[0])
-    step_reward = float(take("step_reward", 1)[0])
-    move_success = float(take("move_success", 1)[0])
-    sensor_accuracy = float(take("sensor_accuracy", 1)[0])
-    detection_accuracy = float(take("detection_accuracy", 1)[0])
-    fov_radius = int(take("fov_radius", 1)[0])
-    uav_cost = float(take("uav_cost", 1)[0])
-    budget = int(take("budget", 1)[0])
-    discount = float(take("discount", 1)[0])
-    horizon = int(take("horizon", 1)[0])
+
+    def cells(pairs: list[str]) -> list[int]:
+        """The cells of a flat list of 'row col' pairs, each inside the grid."""
+        out = []
+        for rc in zip(map(int, pairs[::2]), map(int, pairs[1::2])):
+            row, col = rc
+            if not (0 <= row < height and 0 <= col < width):
+                raise ValueError(f"cell {rc} out of bounds for {height}x{width} grid")
+            out.append(row * width + col)
+        return out
+
+    (start,), (goal,) = cells(take("start", 2)), cells(take("goal", 2))
+    fields: dict[str, dict] = {"scenario": {}, "uav": {}}
+    for key, owner, field, kind in _SCENARIO_SCALARS:
+        fields[owner][field] = kind(take(key, 1)[0])
     if scalars:
         raise ValueError(f"unknown keys: {sorted(scalars)}")
-
-    def cell(rc: tuple[int, int]) -> int:
-        row, col = rc
-        if not (0 <= row < height and 0 <= col < width):
-            raise ValueError(f"cell {rc} out of bounds for {height}x{width} grid")
-        return row * width + col
-
     return Scenario(
         width=width,
         height=height,
-        start_cell=cell(start),
-        goal_cell=cell(goal),
-        obstacle_cells=frozenset(cell(rc) for rc in obstacles),
-        goal_reward=goal_reward,
-        obstacle_reward=obstacle_reward,
-        step_reward=step_reward,
-        move_success_prob=move_success,
-        intrinsic_sensor_accuracy=sensor_accuracy,
-        uavs=tuple(
-            UavSpec(
-                waypoints=tuple(cell(rc) for rc in wps),
-                fov_radius=fov_radius,
-                detection_accuracy=detection_accuracy,
-                cost=uav_cost,
-            )
-            for wps in uav_paths
-        ),
-        budget=budget,
-        discount=discount,
-        horizon=horizon,
+        start_cell=start,
+        goal_cell=goal,
+        obstacle_cells=frozenset(cell for pair in obstacles for cell in cells(pair)),
+        uavs=tuple(UavSpec(waypoints=tuple(cells(wps)), **fields["uav"]) for wps in uav_paths),
+        **fields["scenario"],
     )

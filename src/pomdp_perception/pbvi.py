@@ -24,7 +24,16 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .pomdp import Belief, Pomdp, _check_stochastic, _frozen_array
+from .pomdp import (
+    Belief,
+    Pomdp,
+    _check_stochastic,
+    _format_row,
+    _frozen_array,
+    _read_lines,
+    _scalar_line,
+    _write_lines,
+)
 
 # Elements of (pairs, B, max(K, S)) scratch space `backup` scores one block of
 # (action, observation) pairs in.  One pair of the stock map at 165 points
@@ -375,7 +384,7 @@ def _accept(
 
 # ---------------------------------------------------------------------------
 # Value-function files: header, dimensions, then one line per alpha vector
-# (action tag followed by the coefficients).
+# (action tag followed by the coefficients); '#' starts a comment.
 # ---------------------------------------------------------------------------
 
 VALUE_FILE_HEADER = "alphas v1"
@@ -383,22 +392,15 @@ VALUE_FILE_HEADER = "alphas v1"
 
 def write_value_function(vf: ValueFunction, path: str) -> None:
     lines = [VALUE_FILE_HEADER, f"states {vf.num_states}", f"count {len(vf)}"]
-    for action, row in zip(vf.actions.tolist(), vf.matrix.tolist()):
-        lines.append(f"{action} " + " ".join(repr(c) for c in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines.extend(f"{a} {_format_row(row)}" for a, row in zip(vf.actions.tolist(), vf.matrix))
+    _write_lines(path, lines)
 
 
 def read_value_function(path: str) -> ValueFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != VALUE_FILE_HEADER:
-        raise ValueError(f"not an '{VALUE_FILE_HEADER}' file: {path}")
-    if len(lines) < 3 or not lines[1].startswith("states ") or not lines[2].startswith("count "):
-        raise ValueError("malformed value-function header")
-    num_states = int(lines[1].split()[1])
-    count = int(lines[2].split()[1])
-    body = [line.split() for line in lines[3:]]
+    lines = _read_lines(path, VALUE_FILE_HEADER)
+    num_states = _scalar_line(lines, 0, "states", int)
+    count = _scalar_line(lines, 1, "count", int)
+    body = [line.split() for line in lines[2:]]
     if len(body) != count:
         raise ValueError(f"expected {count} alpha vectors, found {len(body)}")
     for parts in body:

@@ -264,9 +264,11 @@ def expected_immediate_reward(pomdp: Pomdp, belief: Belief, action: int) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Model files.
+# Text files.  Every file the package reads or writes opens with a version
+# header line; '#' starts a comment.  `_write_lines` and `_read_lines` are the
+# one writer and the one reader of every such file.
 #
-# Line-oriented text, '#' starts a comment.  Layout:
+# Model files:
 #
 #   pomdp v1
 #   states N
@@ -279,10 +281,59 @@ def expected_immediate_reward(pomdp: Pomdp, belief: Belief, action: int) -> floa
 # ---------------------------------------------------------------------------
 
 POMDP_FILE_HEADER = "pomdp v1"
+_POMDP_SECTIONS = ("transition", "observation", "reward")
+
+
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _read_lines(path: str, header: str) -> list[str]:
+    """The content lines of a file after its version header.
+
+    Comments and blank lines are dropped, and the first line left must be
+    `header`.  A line that is exactly the header is kept whole, so a header
+    that is itself a comment, as the CSVs' are, counts too.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        stripped = [raw.strip() for raw in fh]
+    lines = [line if line == header else line.split("#", 1)[0].strip() for line in stripped]
+    lines = [line for line in lines if line]
+    if not lines or lines[0] != header:
+        raise ValueError(f"not a '{header}' file: {path}")
+    return lines[1:]
 
 
 def _format_row(values: np.ndarray) -> str:
-    return " ".join(repr(float(v)) for v in values)
+    return " ".join(map(repr, values.tolist()))
+
+
+def _scalar_line(lines: list[str], pos: int, key: str, kind: type = float):
+    if pos >= len(lines):
+        raise ValueError(f"file truncated, expected '{key}'")
+    parts = lines[pos].split()
+    if len(parts) != 2 or parts[0] != key:
+        raise ValueError(f"expected '{key} <value>', got {lines[pos]!r}")
+    return kind(parts[1])
+
+
+def _read_block(lines: list[str], pos: int, name: str, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """Section `name` at `pos`, one row of floats per last-axis slice of `shape`."""
+    if pos >= len(lines) or lines[pos] != name:
+        raise ValueError(f"expected section '{name}'")
+    pos += 1
+    block = np.empty(shape)
+    cols = shape[-1]
+    rows = block.reshape(-1, cols)  # a view of block
+    for r in range(len(rows)):
+        if pos + r >= len(lines):
+            raise ValueError(f"section '{name}' truncated at row {r}")
+        parts = lines[pos + r].split()
+        if len(parts) != cols:
+            raise ValueError(f"section '{name}' row {r}: expected {cols} values, got {len(parts)}")
+        rows[r] = [float(p) for p in parts]
+    return block, pos + len(rows)
 
 
 def write_pomdp_file(pomdp: Pomdp, path: str) -> None:
@@ -292,76 +343,32 @@ def write_pomdp_file(pomdp: Pomdp, path: str) -> None:
         f"actions {pomdp.num_actions}",
         f"observations {pomdp.num_observations}",
         f"discount {pomdp.discount!r}",
-        "transition",
     ]
-    for s in range(pomdp.num_states):
-        for a in range(pomdp.num_actions):
-            lines.append(_format_row(pomdp.transition[s, a]))
-    lines.append("observation")
-    for s in range(pomdp.num_states):
-        for a in range(pomdp.num_actions):
-            lines.append(_format_row(pomdp.observation[s, a]))
-    lines.append("reward")
-    for s in range(pomdp.num_states):
-        lines.append(_format_row(pomdp.reward[s]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _content_lines(path: str) -> list[str]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                out.append(line)
-    return out
-
-
-def _scalar_line(lines: list[str], pos: int, key: str) -> float:
-    if pos >= len(lines):
-        raise ValueError(f"model file truncated, expected '{key}'")
-    parts = lines[pos].split()
-    if len(parts) != 2 or parts[0] != key:
-        raise ValueError(f"expected '{key} <value>', got {lines[pos]!r}")
-    return float(parts[1])
-
-
-def _read_block(lines: list[str], pos: int, name: str, rows: int, cols: int) -> tuple[np.ndarray, int]:
-    if pos >= len(lines) or lines[pos] != name:
-        raise ValueError(f"expected section '{name}'")
-    pos += 1
-    block = np.empty((rows, cols))
-    for r in range(rows):
-        if pos + r >= len(lines):
-            raise ValueError(f"section '{name}' truncated at row {r}")
-        parts = lines[pos + r].split()
-        if len(parts) != cols:
-            raise ValueError(f"section '{name}' row {r}: expected {cols} values, got {len(parts)}")
-        block[r] = [float(p) for p in parts]
-    return block, pos + rows
+    for name in _POMDP_SECTIONS:
+        table = getattr(pomdp, name)
+        lines.append(name)
+        lines.extend(_format_row(row) for row in table.reshape(-1, table.shape[-1]))
+    _write_lines(path, lines)
 
 
 def read_pomdp_file(path: str) -> Pomdp:
     """Parse a model file; tensors violating the row-sum invariants are rejected."""
-    lines = _content_lines(path)
-    if not lines or lines[0] != POMDP_FILE_HEADER:
-        raise ValueError(f"not a '{POMDP_FILE_HEADER}' file: {path}")
-    num_states = int(_scalar_line(lines, 1, "states"))
-    num_actions = int(_scalar_line(lines, 2, "actions"))
-    num_obs = int(_scalar_line(lines, 3, "observations"))
-    discount = _scalar_line(lines, 4, "discount")
+    lines = _read_lines(path, POMDP_FILE_HEADER)
+    num_states = int(_scalar_line(lines, 0, "states"))
+    num_actions = int(_scalar_line(lines, 1, "actions"))
+    num_obs = int(_scalar_line(lines, 2, "observations"))
+    discount = _scalar_line(lines, 3, "discount")
     if num_states < 1 or num_actions < 1 or num_obs < 1:
         raise ValueError("dimensions must be positive")
-    pos = 5
-    transition, pos = _read_block(lines, pos, "transition", num_states * num_actions, num_states)
-    observation, pos = _read_block(lines, pos, "observation", num_states * num_actions, num_obs)
-    reward, pos = _read_block(lines, pos, "reward", num_states, num_actions)
+    shapes = (
+        (num_states, num_actions, num_states),
+        (num_states, num_actions, num_obs),
+        (num_states, num_actions),
+    )
+    tables = {}
+    pos = 4
+    for name, shape in zip(_POMDP_SECTIONS, shapes):
+        tables[name], pos = _read_block(lines, pos, name, shape)
     if pos != len(lines):
         raise ValueError("trailing content after reward section")
-    return Pomdp(
-        transition=transition.reshape(num_states, num_actions, num_states),
-        observation=observation.reshape(num_states, num_actions, num_obs),
-        reward=reward,
-        discount=discount,
-    )
+    return Pomdp(**tables, discount=discount)

@@ -20,7 +20,8 @@ within 1e-12 of the best count as tied, and ties go to the lowest source
 index, so rounding never decides an exact tie.
 
 All entropies are in nats.  Conditional entropies enumerate the joint outcome
-alphabet of the chosen sources, so subset sizes are limited by `joint_cap`.
+alphabet of the chosen sources, so subset sizes are limited by
+`DEFAULT_JOINT_CAP`, read at call time.
 """
 
 from __future__ import annotations
@@ -136,9 +137,7 @@ def entropy(belief: Belief) -> float:
     return float(-_xlogx(belief.probs).sum())
 
 
-def _joint_weights(
-    problem: SelectionProblem, subset: PerceptionAction, joint_cap: int
-) -> np.ndarray:
+def _joint_weights(problem: SelectionProblem, subset: PerceptionAction) -> np.ndarray:
     """Product likelihood over the subset's joint alphabet, shape (J, S).
 
     Row order matches iterating the subset's alphabets, in the subset's
@@ -150,9 +149,9 @@ def _joint_weights(
     joint = 1
     for sl in slices:
         joint *= sl.shape[1]
-        if joint > joint_cap:
+        if joint > DEFAULT_JOINT_CAP:
             raise JointAlphabetTooLarge(
-                f"joint alphabet needs more than {joint_cap} outcomes"
+                f"joint alphabet needs more than {DEFAULT_JOINT_CAP} outcomes"
             )
     weights = np.ones((1, num_states))
     for sl in slices:
@@ -167,46 +166,32 @@ def _conditional_entropy_of(joint: np.ndarray) -> np.ndarray:
     return _xlogx(outcome).sum(axis=-1) - _xlogx(joint).sum(axis=(-2, -1))
 
 
-def conditional_entropy(
-    problem: SelectionProblem,
-    subset: PerceptionAction,
-    joint_cap: int = DEFAULT_JOINT_CAP,
-) -> float:
+def conditional_entropy(problem: SelectionProblem, subset: PerceptionAction) -> float:
     """Expected posterior entropy of the state given the subset's reports.
 
     Sums over the subset's joint outcome alphabet; for the empty subset this
     is just the entropy of the current belief.
     """
-    weights = _joint_weights(problem, subset, joint_cap)
+    weights = _joint_weights(problem, subset)
     return float(_conditional_entropy_of(weights * problem.belief.probs[None, :]))
 
 
-def mutual_information(
-    problem: SelectionProblem,
-    subset: PerceptionAction,
-    joint_cap: int = DEFAULT_JOINT_CAP,
-) -> float:
+def mutual_information(problem: SelectionProblem, subset: PerceptionAction) -> float:
     """Utility of a subset: entropy of the belief minus conditional entropy.
 
     Values within 1e-12 of zero are clamped to exactly 0; floating-point sums
     can dip a hair below zero for uninformative subsets.
     """
-    gain = entropy(problem.belief) - conditional_entropy(problem, subset, joint_cap)
+    gain = entropy(problem.belief) - conditional_entropy(problem, subset)
     return 0.0 if abs(gain) < _MI_CLAMP else gain
 
 
-def marginal_gain(
-    problem: SelectionProblem,
-    subset: PerceptionAction,
-    source: int,
-    joint_cap: int = DEFAULT_JOINT_CAP,
-) -> float:
+def marginal_gain(problem: SelectionProblem, subset: PerceptionAction, source: int) -> float:
     """Utility increase from adding `source` to `subset`."""
     if source in subset:
         raise ValueError(f"source {source} is already selected")
-    return mutual_information(
-        problem, PerceptionAction((*subset, source)), joint_cap
-    ) - mutual_information(problem, subset, joint_cap)
+    with_source = PerceptionAction((*subset, source))
+    return mutual_information(problem, with_source) - mutual_information(problem, subset)
 
 
 def _first_within_tol(values: np.ndarray) -> int:
@@ -214,10 +199,7 @@ def _first_within_tol(values: np.ndarray) -> int:
     return int(np.argmax(values >= values.max() - _TIE_TOL))
 
 
-def generalized_greedy(
-    problem: SelectionProblem,
-    joint_cap: int = DEFAULT_JOINT_CAP,
-) -> SelectionOutcome:
+def generalized_greedy(problem: SelectionProblem) -> SelectionOutcome:
     """Cost-scaled greedy selection with a best-singleton fallback.
 
     Repeatedly picks the candidate maximizing (entropy drop) / cost**beta and
@@ -234,9 +216,9 @@ def generalized_greedy(
     positive probability and grows by one source per pick; each round scores
     all candidates at once, each alphabet padded to the widest with outcomes
     of zero probability.  Every scored subset's full joint alphabet must stay
-    within `joint_cap`.  Ratios within 1e-12 of the best go to the lowest source
-    index, the constructed subset wins a tie with the best singleton, and the
-    lowest index wins a tie between singletons.
+    within `DEFAULT_JOINT_CAP`.  Ratios within 1e-12 of the best go to the
+    lowest source index, the constructed subset wins a tie with the best
+    singleton, and the lowest index wins a tie between singletons.
     """
     sources = problem.sources
     num_states = problem.belief.num_states
@@ -257,8 +239,10 @@ def generalized_greedy(
     h_chosen = float(_conditional_entropy_of(table))
     h_singles = np.empty(0)
     while pool:
-        if chosen_alphabet * max(sizes[j] for j in pool) > joint_cap:
-            raise JointAlphabetTooLarge(f"joint alphabet needs more than {joint_cap} outcomes")
+        if chosen_alphabet * max(sizes[j] for j in pool) > DEFAULT_JOINT_CAP:
+            raise JointAlphabetTooLarge(
+                f"joint alphabet needs more than {DEFAULT_JOINT_CAP} outcomes"
+            )
         joint = table[None, :, None, :] * likelihoods[pool][:, None, :, :]
         h = _conditional_entropy_of(joint.reshape(len(pool), -1, num_states))
         if not chosen:
@@ -282,13 +266,10 @@ def generalized_greedy(
     else:
         picked = PerceptionAction((best_single,))
         picked_cost = costs[best_single]
-    return SelectionOutcome(picked, mutual_information(problem, picked, joint_cap), picked_cost)
+    return SelectionOutcome(picked, mutual_information(problem, picked), picked_cost)
 
 
-def brute_force_optimal(
-    problem: SelectionProblem,
-    joint_cap: int = DEFAULT_JOINT_CAP,
-) -> SelectionOutcome:
+def brute_force_optimal(problem: SelectionProblem) -> SelectionOutcome:
     """Exhaustive optimum over all budget-feasible subsets.
 
     Exact-utility ties keep the lexicographically smallest index set (the
@@ -307,7 +288,7 @@ def brute_force_optimal(
             total = sum(costs[j] for j in combo)
             if total > problem.budget:
                 continue
-            utility = mutual_information(problem, PerceptionAction(combo), joint_cap)
+            utility = mutual_information(problem, PerceptionAction(combo))
             if utility > best_utility or (utility == best_utility and combo < best_subset):
                 best_subset = combo
                 best_utility = utility
@@ -335,15 +316,13 @@ class BoundReport:
 
 
 def _posterior_table(
-    problem: SelectionProblem,
-    subset: PerceptionAction,
-    joint_cap: int,
+    problem: SelectionProblem, subset: PerceptionAction
 ) -> tuple[np.ndarray, np.ndarray]:
     """(normalizers, posteriors) over the subset's joint alphabet.
 
     posteriors rows are valid only where the normalizer is positive.
     """
-    unnormalized = _joint_weights(problem, subset, joint_cap) * problem.belief.probs[None, :]
+    unnormalized = _joint_weights(problem, subset) * problem.belief.probs[None, :]
     normalizers = unnormalized.sum(axis=1)
     posteriors = np.zeros_like(unnormalized)
     mask = normalizers > 0.0
@@ -356,18 +335,17 @@ def _bound_terms(
     prior: Belief,
     greedy: SelectionOutcome | None,
     optimal: SelectionOutcome | None,
-    joint_cap: int,
 ):
     """The greedy and the optimal selection (computed when not given), the
     prior probability of each joint report of their union that can occur,
     both posteriors at each such report, and the belief-distance bound.
     Other sources' reports change neither posterior and, being independent
     given the state, sum out exactly."""
-    g = (greedy if greedy is not None else generalized_greedy(problem, joint_cap)).selected
-    o = (optimal if optimal is not None else brute_force_optimal(problem, joint_cap)).selected
+    g = (greedy if greedy is not None else generalized_greedy(problem)).selected
+    o = (optimal if optimal is not None else brute_force_optimal(problem)).selected
     union = PerceptionAction(dict.fromkeys((*g, *o)))
     sizes = {i: problem.sources[i].num_symbols for i in union}
-    probs = _joint_weights(problem, union, joint_cap) @ prior.probs
+    probs = _joint_weights(problem, union) @ prior.probs
     reached = np.flatnonzero(probs > 0.0)
     symbols = dict(zip(union, np.unravel_index(reached, list(sizes.values())))) if union else {}
     posteriors = []
@@ -375,7 +353,7 @@ def _bound_terms(
         rows = np.zeros_like(reached)  # the empty selection's one row
         if subset:
             rows = np.ravel_multi_index([symbols[i] for i in subset], [sizes[i] for i in subset])
-        normalizers, table = _posterior_table(problem, subset, joint_cap)
+        normalizers, table = _posterior_table(problem, subset)
         if np.any(normalizers[rows] <= 0.0):
             raise ZeroLikelihoodObservation("prior reaches outcomes the belief rules out")
         posteriors.append(table[rows])
@@ -390,7 +368,6 @@ def _bound_terms(
 def check_distance_bound(
     problem: SelectionProblem,
     prior: Belief,
-    joint_cap: int = DEFAULT_JOINT_CAP,
     greedy: SelectionOutcome | None = None,
     optimal: SelectionOutcome | None = None,
 ) -> BoundReport:
@@ -399,11 +376,11 @@ def check_distance_bound(
 
     Expectations run over the joint reports of the union of the two
     selections under `prior`, skipping reports of probability 0; only the
-    union's joint alphabet must fit `joint_cap`.  The paper's inequality is
-    not proven when the selections differ and fails on about 1 random
-    instance in 500, e.g. select-bench (20, 37) and (23, 40).
+    union's joint alphabet must fit `DEFAULT_JOINT_CAP`.  The paper's
+    inequality is not proven when the selections differ and fails on about 1
+    random instance in 500, e.g. select-bench (20, 37) and (23, 40).
     """
-    g, o, probs, post_g, post_o, rhs = _bound_terms(problem, prior, greedy, optimal, joint_cap)
+    g, o, probs, post_g, post_o, rhs = _bound_terms(problem, prior, greedy, optimal)
     lhs = float(probs @ np.abs(post_g - post_o).sum(axis=1))
     return BoundReport(lhs, rhs, lhs <= rhs + _BOUND_SLACK, g, o)
 
@@ -413,14 +390,13 @@ def check_value_bound(
     problem: SelectionProblem,
     prior: Belief,
     pomdp: Pomdp,
-    joint_cap: int = DEFAULT_JOINT_CAP,
     greedy: SelectionOutcome | None = None,
     optimal: SelectionOutcome | None = None,
 ) -> BoundReport:
     """Expected value gap E[V(greedy belief) - V(optimal belief)] versus the
     bound delta * max(|R_max|, |R_min|) / (1 - discount), where delta is the
     belief-distance bound of `check_distance_bound`, over the same reports."""
-    g, o, probs, post_g, post_o, delta = _bound_terms(problem, prior, greedy, optimal, joint_cap)
+    g, o, probs, post_g, post_o, delta = _bound_terms(problem, prior, greedy, optimal)
     values_g = (post_g @ vf.matrix.T).max(axis=1)
     values_o = (post_o @ vf.matrix.T).max(axis=1)
     lhs = float(probs @ (values_g - values_o))

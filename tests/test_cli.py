@@ -17,10 +17,12 @@ def test_select_bench_writes_a_versioned_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert cli.main(["select-bench", "--instances", "5", "--out", str(out)]) == cli.EXIT_OK
     lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "# select-bench v1"
+    assert lines[0] == "# select-bench v2"
     assert lines[1].startswith("seed,n,budget,")
+    assert lines[1].endswith(",solve_converged")
     rows = lines[2:]
     assert [row.split(",")[0] for row in rows] == ["0", "1", "2", "3", "4"]
+    assert [row.split(",")[-1] for row in rows] == ["1"] * 5
     assert "select-bench: instances=5" in capsys.readouterr().out
 
 
@@ -33,8 +35,8 @@ def test_select_bench_counts_an_unconverged_solve_as_a_failure(tmp_path, capsys,
     assert cli.main(["select-bench", "--instances", "3", "--out", str(out)]) == cli.EXIT_OK
     # Every theorem check passes; only the solves stop unconverged.
     lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[1].endswith(",theorem1_pass,theorem2_pass,theorem3_pass")
-    assert [row.split(",")[-3:] for row in lines[2:]] == [["1", "1", "1"]] * 3
+    assert lines[1].endswith(",theorem1_pass,theorem2_pass,theorem3_pass,solve_converged")
+    assert [row.split(",")[-4:] for row in lines[2:]] == [["1", "1", "1", "0"]] * 3
     assert "select-bench: instances=3 failures=3 " in capsys.readouterr().out
 
 
@@ -149,3 +151,35 @@ def test_non_finite_scenario_and_model_files_exit_1(tmp_path, capsys):
     assert cli.main(["solve", "--model", str(model), "--out", str(out), "--beliefs", "20"]) == cli.EXIT_CONFIG
     assert "transition: probabilities must lie in [0, 1]" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_missing_input_files_exit_1_and_name_the_path(tmp_path, capsys):
+    scenario = tiny_scenario_file(tmp_path)
+    missing = str(tmp_path / "missing.txt")
+    out = str(tmp_path / "vf.txt")
+    sim = ["--policies", "none", "--runs", "1", "--out-dir", str(tmp_path / "sim")]
+    for argv in (
+        ["solve", "--scenario", missing, "--out", out],
+        ["solve", "--model", missing, "--out", out],
+        ["simulate", "--scenario", scenario, "--value-function", missing] + sim,
+    ):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert missing in capsys.readouterr().err
+    assert not (tmp_path / "vf.txt").exists()
+
+
+def test_report_rejects_csvs_without_their_version_header(tmp_path, capsys):
+    scenario = tiny_scenario_file(tmp_path)
+    sim_dir = tmp_path / "sim"
+    simulate = ["simulate", "--scenario", scenario, "--beliefs", "20", "--policies", "none"]
+    assert cli.main(simulate + ["--runs", "2", "--out-dir", str(sim_dir)]) == cli.EXIT_OK
+    report = ["report", "--dir", str(sim_dir), "--scenario", scenario]
+    assert cli.main(report) == cli.EXIT_OK
+    capsys.readouterr()
+    for name in ("rewards_none.csv", "visits_none.csv"):
+        path = sim_dir / name
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.split("\n", 1)[1], encoding="utf-8")
+        assert cli.main(report) == cli.EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
+        path.write_text(text, encoding="utf-8")

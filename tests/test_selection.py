@@ -28,6 +28,7 @@ from pomdp_perception import (
     mutual_information,
     sample_beliefs_uniform,
     solve,
+    selection,
     uav_sources_at,
 )
 from helpers import (
@@ -112,11 +113,12 @@ def test_conditional_entropy_matches_posterior_averaging_oracle():
         assert conditional_entropy(problem, subset) == pytest.approx(expected, abs=1e-10)
 
 
-def test_conditional_entropy_joint_cap():
+def test_conditional_entropy_joint_cap(monkeypatch):
     rng = np.random.default_rng(4)
     problem = make_problem(rng, num_sources=3)
+    monkeypatch.setattr(selection, "DEFAULT_JOINT_CAP", 2)
     with pytest.raises(JointAlphabetTooLarge):
-        conditional_entropy(problem, PerceptionAction((0, 1, 2)), joint_cap=2)
+        conditional_entropy(problem, PerceptionAction((0, 1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +349,7 @@ def test_greedy_point_mass_tie_goes_to_the_lowest_indices():
     assert generalized_greedy(problem).selected == PerceptionAction((0, 1))
 
 
-def test_greedy_scores_only_affordable_subsets_under_joint_cap():
+def test_greedy_scores_only_affordable_subsets_under_joint_cap(monkeypatch):
     # Pairs of stock-map UAVs have at most 10 x 10 joint outcomes; budget 2
     # pays for no triple, so greedy never needs a larger alphabet.
     scenario = default_scenario()
@@ -358,18 +360,21 @@ def test_greedy_scores_only_affordable_subsets_under_joint_cap():
         sources=tuple(uav_sources_at(scenario, 0)),
         budget=2.0,
     )
-    capped = generalized_greedy(problem, joint_cap=100)
-    assert capped == generalized_greedy(problem)
+    uncapped = generalized_greedy(problem)
+    monkeypatch.setattr(selection, "DEFAULT_JOINT_CAP", 100)
+    capped = generalized_greedy(problem)
+    assert capped == uncapped
     assert len(capped.selected) == 2
     with pytest.raises(JointAlphabetTooLarge):
-        conditional_entropy(problem, PerceptionAction((0, 1, 2)), joint_cap=100)
+        conditional_entropy(problem, PerceptionAction((0, 1, 2)))
 
 
-def test_greedy_propagates_joint_cap():
+def test_greedy_propagates_joint_cap(monkeypatch):
     rng = np.random.default_rng(15)
     problem = make_problem(rng, num_sources=4, budget=100.0)
+    monkeypatch.setattr(selection, "DEFAULT_JOINT_CAP", 1)
     with pytest.raises(JointAlphabetTooLarge):
-        generalized_greedy(problem, joint_cap=1)
+        generalized_greedy(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +465,7 @@ def test_distance_bound_uninformative_sources_both_sides_zero():
     assert report.passed
 
 
-def test_bound_checks_cap_only_the_union_of_greedy_and_optimal():
+def test_bound_checks_cap_only_the_union_of_greedy_and_optimal(monkeypatch):
     # Six three-symbol sources (729 joint reports) and a budget for two:
     # greedy and optimal each take at most two, so their union has at most
     # 81 joint reports.
@@ -469,18 +474,17 @@ def test_bound_checks_cap_only_the_union_of_greedy_and_optimal():
         InfoSource(likelihood=rng.dirichlet(np.ones(3), size=(4, 1)), cost=1.0) for _ in range(6)
     )
     problem = SelectionProblem(belief=random_belief(rng, 4), action=0, sources=sources, budget=2.0)
-    assert check_distance_bound(problem, problem.belief, joint_cap=100) == check_distance_bound(
-        problem, problem.belief
-    )
+    uncapped = check_distance_bound(problem, problem.belief)
+    monkeypatch.setattr(selection, "DEFAULT_JOINT_CAP", 100)
+    assert check_distance_bound(problem, problem.belief) == uncapped
 
     def pair(subset):
         return SelectionOutcome(PerceptionAction(subset), 0.0, 2.0)
 
     # Each pair has 9 joint reports, their union 81.
+    monkeypatch.setattr(selection, "DEFAULT_JOINT_CAP", 9)
     with pytest.raises(JointAlphabetTooLarge):
-        check_distance_bound(
-            problem, problem.belief, joint_cap=9, greedy=pair((0, 1)), optimal=pair((2, 3))
-        )
+        check_distance_bound(problem, problem.belief, greedy=pair((0, 1)), optimal=pair((2, 3)))
 
 
 def test_distance_bound_random_instances_pass():
