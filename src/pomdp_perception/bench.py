@@ -15,6 +15,7 @@ import numpy as np
 from .pbvi import sample_beliefs_uniform, solve
 from .pomdp import Belief, InfoSource, Pomdp
 from .selection import (
+    BRUTE_FORCE_MAX_SOURCES,
     GREEDY_GUARANTEE,
     SelectionProblem,
     brute_force_optimal,
@@ -37,7 +38,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Caps for random instances; defaults keep exhaustive search cheap."""
+    """Caps for random instances; defaults keep exhaustive search cheap.
+
+    Instances draw 2..max_sources sources, 2..max_states states and
+    observations, and 2..max_symbols symbols per source, so each cap must be
+    at least 2, and max_sources at most the exhaustive search's
+    `BRUTE_FORCE_MAX_SOURCES`.
+    """
 
     max_states: int = 6
     max_sources: int = 10
@@ -47,6 +54,15 @@ class BenchConfig:
     solver_points: int = 16
     solver_tol: float = 1e-3
     solver_max_iter: int = 500
+
+    def __post_init__(self) -> None:
+        if not 2 <= self.max_sources <= BRUTE_FORCE_MAX_SOURCES:
+            raise ValueError(
+                f"max_sources must be in [2, {BRUTE_FORCE_MAX_SOURCES}], got {self.max_sources}"
+            )
+        for name in ("max_states", "max_symbols"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be at least 2, got {getattr(self, name)}")
 
 
 def random_pomdp(

@@ -1,10 +1,15 @@
 """Command-line pipeline: solve, simulate, select-bench, report.
 
 Every subcommand is a deterministic function of its flags and seeds.  Exit
-codes: 0 success, 1 configuration error (a missing or malformed input file
-among them), 2 runtime numerical error, or a `solve` that stopped at
---max-iter unconverged (its value file is still written, and a warning says
-so on stderr; `simulate` only warns when its own solve stops so).
+codes: 0 success, 1 configuration error, 2 runtime numerical error, or a
+`solve` that stopped at --max-iter unconverged (its value file is still
+written, and a warning says so on stderr; `simulate` only warns when its own
+solve stops so).  Configuration errors include a missing or malformed input
+file, named in the message: `report` refuses a rewards file with no rows or
+no discounted_reward column, and a visit grid that is not the scenario's
+height x width.  They also include a `select-bench` cap out of range:
+--max-states and --max-symbols below 2, or --max-sources outside
+[2, BRUTE_FORCE_MAX_SOURCES], refused before any instance is solved.
 
 Every file read or written opens with its version header line, checked on
 reading; '#' starts a comment.
@@ -33,6 +38,7 @@ from . import bench
 from .gridworld import (
     PERCEPTION_POLICIES,
     InvalidScenario,
+    Scenario,
     build_pomdp,
     monte_carlo,
     read_scenario_file,
@@ -179,6 +185,27 @@ def cmd_select_bench(args) -> int:
     return EXIT_OK
 
 
+def _read_rewards(path: str) -> list[float]:
+    rows = list(csv.DictReader(_read_lines(path, REWARDS_CSV_HEADER)))
+    if not rows:
+        raise _ConfigError(f"{path}: no rows")
+    if "discounted_reward" not in rows[0]:
+        raise _ConfigError(f"{path}: no discounted_reward column")
+    try:
+        return [float(r["discounted_reward"]) for r in rows]
+    except (TypeError, ValueError):
+        raise _ConfigError(f"{path}: a discounted_reward is missing or not a number") from None
+
+
+def _read_visits(path: str, scenario: Scenario) -> list[list[int]]:
+    grid = [[int(v) for v in line.split(",")] for line in _read_lines(path, VISITS_CSV_HEADER)]
+    if len(grid) != scenario.height or any(len(row) != scenario.width for row in grid):
+        raise _ConfigError(
+            f"{path}: expected a {scenario.height} x {scenario.width} grid of visit counts"
+        )
+    return grid
+
+
 def cmd_report(args) -> int:
     scenario = read_scenario_file(args.scenario)
     reward_files = sorted(
@@ -189,17 +216,13 @@ def cmd_report(args) -> int:
     lines = [REPORT_CSV_HEADER, "policy,runs,mean_discounted_reward,std_discounted_reward,obstacle_visits"]
     for fname in reward_files:
         label = fname[len("rewards_") : -len(".csv")]
-        rows = csv.DictReader(_read_lines(os.path.join(args.dir, fname), REWARDS_CSV_HEADER))
-        rewards = [float(r["discounted_reward"]) for r in rows]
+        rewards = _read_rewards(os.path.join(args.dir, fname))
         mean = sum(rewards) / len(rewards)
         std = (sum((x - mean) ** 2 for x in rewards) / len(rewards)) ** 0.5
         visits_path = os.path.join(args.dir, f"visits_{label}.csv")
         obstacle_visits = ""
         if os.path.exists(visits_path):
-            grid = [
-                [int(v) for v in line.split(",")]
-                for line in _read_lines(visits_path, VISITS_CSV_HEADER)
-            ]
+            grid = _read_visits(visits_path, scenario)
             total = 0
             for cell in scenario.obstacle_cells:
                 row, col = scenario.cell_rc(cell)

@@ -336,7 +336,9 @@ def _select_sources(
 ) -> PerceptionAction:
     """Sources to query this step; k caps their summed cost under every policy.
 
-    `random` draws up to k distinct sources among those costing at most k and
+    `random` draws distinct sources among those costing at most k, as many as
+    k pays for at the cheapest one's cost (but never fewer than k, so draws
+    among sources of cost 1 or more are the same as for unit costs), and
     keeps them, in draw order, while their summed cost stays within k.  An
     empty pool (`run_episode` passes one under `none` or k <= 0) selects
     nothing and draws nothing.
@@ -347,7 +349,8 @@ def _select_sources(
         affordable = [i for i, src in enumerate(sources) if src.cost <= k]
         if not affordable:
             return PerceptionAction()
-        picks = rng.choice(len(affordable), size=min(k, len(affordable)), replace=False)
+        most = max(k, math.floor(k / min(sources[i].cost for i in affordable)))
+        picks = rng.choice(len(affordable), size=min(most, len(affordable)), replace=False)
         kept: list[int] = []
         spent = 0.0
         for pick in picks:

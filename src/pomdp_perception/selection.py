@@ -10,6 +10,9 @@ paper's belief-distance and value-loss bounds live here too.  The checks take
 expectations over the joint reports of the union of the greedy and the
 optimal selection; the belief-distance inequality, in the paper's form, fails
 on about 1 random instance in 500 (select-bench (20, 37) and (23, 40)).
+Both selections' tables are laid out on the union's axes, with products in
+the union's order, so equal sets picked in different orders give a gap of
+exactly 0.
 
 The greedy scheme scores only candidates the remaining budget can still pay
 for: budgets only shrink, so a candidate dropped for its cost would never be
@@ -137,25 +140,31 @@ def entropy(belief: Belief) -> float:
     return float(-_xlogx(belief.probs).sum())
 
 
-def _joint_weights(problem: SelectionProblem, subset: PerceptionAction) -> np.ndarray:
-    """Product likelihood over the subset's joint alphabet, shape (J, S).
+def _check_alphabet(sizes: list[int]) -> None:
+    """Refuse a joint alphabet whose size, the product of `sizes`, exceeds
+    `DEFAULT_JOINT_CAP` (read at call time)."""
+    if math.prod(sizes) > DEFAULT_JOINT_CAP:
+        raise JointAlphabetTooLarge(f"joint alphabet needs more than {DEFAULT_JOINT_CAP} outcomes")
 
-    Row order matches iterating the subset's alphabets, in the subset's
-    order, with the last source varying fastest.  J is the product of the
-    alphabet sizes.
+
+def _joint_weights(
+    problem: SelectionProblem, order: PerceptionAction, members: PerceptionAction | None = None
+) -> np.ndarray:
+    """Product likelihood p(reports | state) with one axis per source of
+    `order`, then the state axis.
+
+    Only the sources of `members` (default: all of `order`) enter the
+    product, in `order`'s order; every other axis has length 1, so tables of
+    subsets of one order broadcast against each other.  The members' joint
+    alphabet must fit `DEFAULT_JOINT_CAP`.
     """
-    slices = [problem.sources[i].likelihood[:, problem.action, :] for i in subset]
-    num_states = problem.belief.num_states
-    joint = 1
-    for sl in slices:
-        joint *= sl.shape[1]
-        if joint > DEFAULT_JOINT_CAP:
-            raise JointAlphabetTooLarge(
-                f"joint alphabet needs more than {DEFAULT_JOINT_CAP} outcomes"
-            )
-    weights = np.ones((1, num_states))
-    for sl in slices:
-        weights = (weights[:, None, :] * sl.T[None, :, :]).reshape(-1, num_states)
+    members = order if members is None else members
+    _check_alphabet([problem.sources[i].num_symbols for i in members])
+    weights = np.ones(problem.belief.num_states)
+    for i in order:
+        weights = weights[..., None, :]
+        if i in members:
+            weights = weights * problem.sources[i].likelihood[:, problem.action, :].T
     return weights
 
 
@@ -172,7 +181,7 @@ def conditional_entropy(problem: SelectionProblem, subset: PerceptionAction) -> 
     Sums over the subset's joint outcome alphabet; for the empty subset this
     is just the entropy of the current belief.
     """
-    weights = _joint_weights(problem, subset)
+    weights = _joint_weights(problem, subset).reshape(-1, problem.belief.num_states)
     return float(_conditional_entropy_of(weights * problem.belief.probs[None, :]))
 
 
@@ -234,15 +243,11 @@ def generalized_greedy(problem: SelectionProblem) -> SelectionOutcome:
     pool = affordable
     chosen: list[int] = []
     chosen_cost = 0.0
-    chosen_alphabet = 1
     table = problem.belief.probs[None, :]       # p(outcome, state) of `chosen`
     h_chosen = float(_conditional_entropy_of(table))
     h_singles = np.empty(0)
     while pool:
-        if chosen_alphabet * max(sizes[j] for j in pool) > DEFAULT_JOINT_CAP:
-            raise JointAlphabetTooLarge(
-                f"joint alphabet needs more than {DEFAULT_JOINT_CAP} outcomes"
-            )
+        _check_alphabet([sizes[j] for j in chosen] + [max(sizes[j] for j in pool)])
         joint = table[None, :, None, :] * likelihoods[pool][:, None, :, :]
         h = _conditional_entropy_of(joint.reshape(len(pool), -1, num_states))
         if not chosen:
@@ -251,7 +256,6 @@ def generalized_greedy(problem: SelectionProblem) -> SelectionOutcome:
         j_star = pool[slot]
         chosen.append(j_star)
         chosen_cost += costs[j_star]
-        chosen_alphabet *= sizes[j_star]
         h_chosen = float(h[slot])
         extended = joint[slot].reshape(-1, num_states)
         table = extended[extended.any(axis=1)]
@@ -315,21 +319,6 @@ class BoundReport:
     optimal: PerceptionAction
 
 
-def _posterior_table(
-    problem: SelectionProblem, subset: PerceptionAction
-) -> tuple[np.ndarray, np.ndarray]:
-    """(normalizers, posteriors) over the subset's joint alphabet.
-
-    posteriors rows are valid only where the normalizer is positive.
-    """
-    unnormalized = _joint_weights(problem, subset) * problem.belief.probs[None, :]
-    normalizers = unnormalized.sum(axis=1)
-    posteriors = np.zeros_like(unnormalized)
-    mask = normalizers > 0.0
-    posteriors[mask] = unnormalized[mask] / normalizers[mask, None]
-    return normalizers, posteriors
-
-
 def _bound_terms(
     problem: SelectionProblem,
     prior: Belief,
@@ -340,29 +329,28 @@ def _bound_terms(
     prior probability of each joint report of their union that can occur,
     both posteriors at each such report, and the belief-distance bound.
     Other sources' reports change neither posterior and, being independent
-    given the state, sum out exactly."""
+    given the state, sum out exactly.  Every table is laid out on the
+    union's axes, so each selection's table broadcasts to the union's."""
     g = (greedy if greedy is not None else generalized_greedy(problem)).selected
     o = (optimal if optimal is not None else brute_force_optimal(problem)).selected
     union = PerceptionAction(dict.fromkeys((*g, *o)))
-    sizes = {i: problem.sources[i].num_symbols for i in union}
-    probs = _joint_weights(problem, union) @ prior.probs
-    reached = np.flatnonzero(probs > 0.0)
-    symbols = dict(zip(union, np.unravel_index(reached, list(sizes.values())))) if union else {}
+    union_probs = _joint_weights(problem, union) @ prior.probs
+    reached = union_probs > 0.0
+    probs = union_probs[reached]
     posteriors = []
     for subset in (g, o):
-        rows = np.zeros_like(reached)  # the empty selection's one row
-        if subset:
-            rows = np.ravel_multi_index([symbols[i] for i in subset], [sizes[i] for i in subset])
-        normalizers, table = _posterior_table(problem, subset)
-        if np.any(normalizers[rows] <= 0.0):
+        table = _joint_weights(problem, union, subset) * problem.belief.probs
+        unnormalized = np.broadcast_to(table, union_probs.shape + table.shape[-1:])[reached]
+        normalizers = unnormalized.sum(axis=1, keepdims=True)
+        if np.any(normalizers <= 0.0):
             raise ZeroLikelihoodObservation("prior reaches outcomes the belief rules out")
-        posteriors.append(table[rows])
+        posteriors.append(unnormalized / normalizers)
     post_g, post_o = posteriors
     # A posterior is positive only where the belief is, so the ratio is safe.
     ratio = np.divide(post_o, problem.belief.probs, out=np.ones_like(post_o), where=post_o > 0.0)
-    expected_kl = float(probs[reached] @ (post_o * np.log(ratio)).sum(axis=1))
+    expected_kl = float(probs @ (post_o * np.log(ratio)).sum(axis=1))
     delta = math.sqrt(max((2.0 / math.sqrt(math.e)) * expected_kl, 0.0))
-    return g, o, probs[reached], post_g, post_o, delta
+    return g, o, probs, post_g, post_o, delta
 
 
 def check_distance_bound(
@@ -376,9 +364,12 @@ def check_distance_bound(
 
     Expectations run over the joint reports of the union of the two
     selections under `prior`, skipping reports of probability 0; only the
-    union's joint alphabet must fit `DEFAULT_JOINT_CAP`.  The paper's
-    inequality is not proven when the selections differ and fails on about 1
-    random instance in 500, e.g. select-bench (20, 37) and (23, 40).
+    union's joint alphabet must fit `DEFAULT_JOINT_CAP`.  Both posteriors
+    come from one table layout on the union's axes, with products in the
+    union's order, so selections of the same set in any two orders give an
+    lhs of exactly 0.  The paper's inequality is not proven when the
+    selections differ and fails on about 1 random instance in 500, e.g.
+    select-bench (20, 37) and (23, 40).
     """
     g, o, probs, post_g, post_o, rhs = _bound_terms(problem, prior, greedy, optimal)
     lhs = float(probs @ np.abs(post_g - post_o).sum(axis=1))

@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-from pomdp_perception import Belief, InfoSource, Pomdp
+from pomdp_perception import Belief, InfoSource, Pomdp, bench
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +43,17 @@ def random_sources(rng, num_states, num_actions, count, max_symbols=3) -> tuple[
             )
         )
     return tuple(out)
+
+
+def select_bench_problem(base_seed, index, config=bench.BenchConfig()):
+    """The selection problem of select-bench instance (base_seed, index),
+    drawn in evaluate_instance's order."""
+    rng = np.random.default_rng([base_seed, index])
+    num_states = int(rng.integers(2, config.max_states + 1))
+    num_actions = int(rng.integers(2, 4))
+    num_observations = int(rng.integers(2, config.max_states + 1))
+    bench.random_pomdp(rng, num_states, num_actions, num_observations, config.discount)
+    return bench.random_selection_problem(rng, num_states, num_actions, config)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The select-bench instance generator and its solves."""
 
-import numpy as np
 import pytest
 
 from pomdp_perception import bench, check_distance_bound, pbvi
+from helpers import select_bench_problem
 
 
 def test_select_bench_solves_converge_on_the_first_hundred_instances(monkeypatch):
@@ -25,17 +25,6 @@ def test_an_unconverged_solve_is_recorded_in_the_row():
     assert bench.evaluate_instance(0, 0).solve_converged
     row = bench.evaluate_instance(0, 0, bench.BenchConfig(solver_max_iter=1))
     assert row.solve_converged is False
-
-
-def select_bench_problem(base_seed, index, config=bench.BenchConfig()):
-    """The selection problem of instance (base_seed, index), drawn in
-    evaluate_instance's order."""
-    rng = np.random.default_rng([base_seed, index])
-    num_states = int(rng.integers(2, config.max_states + 1))
-    num_actions = int(rng.integers(2, 4))
-    num_observations = int(rng.integers(2, config.max_states + 1))
-    bench.random_pomdp(rng, num_states, num_actions, num_observations, config.discount)
-    return bench.random_selection_problem(rng, num_states, num_actions, config)
 
 
 def test_instance_20_37_is_a_counterexample_to_the_paper_form_of_theorem_2():

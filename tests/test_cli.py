@@ -1,5 +1,7 @@
 """The command-line entry point, end to end on small inputs."""
 
+import pytest
+
 from pomdp_perception import (
     Scenario,
     UavSpec,
@@ -43,6 +45,25 @@ def test_select_bench_counts_an_unconverged_solve_as_a_failure(tmp_path, capsys,
 def test_select_bench_rejects_zero_instances(tmp_path):
     out = tmp_path / "bench.csv"
     assert cli.main(["select-bench", "--instances", "0", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--max-sources", "25", "max_sources"),
+        ("--max-sources", "1", "max_sources"),
+        ("--max-states", "1", "max_states"),
+        ("--max-symbols", "1", "max_symbols"),
+    ],
+)
+def test_select_bench_rejects_caps_out_of_range(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "bench.csv"
+    argv = ["select-bench", "--instances", "3", flag, value, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -183,3 +204,28 @@ def test_report_rejects_csvs_without_their_version_header(tmp_path, capsys):
         assert cli.main(report) == cli.EXIT_CONFIG
         assert str(path) in capsys.readouterr().err
         path.write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("rewards_none.csv", "# rewards v1\nrun,policy,discounted_reward\n"),
+        ("rewards_none.csv", "# rewards v1\nrun,policy,reward\n0,none,1.5\n"),
+        ("rewards_none.csv", "# rewards v1\nrun,policy,discounted_reward\n0,none\n"),
+        ("visits_none.csv", "# visit-frequency v1\n0,0,0\n"),
+        ("visits_none.csv", "# visit-frequency v1\n0\n0\n0\n"),
+    ],
+    ids=["no-rows", "no-reward-column", "short-row", "one-grid-row", "one-grid-column"],
+)
+def test_report_rejects_malformed_csvs_and_names_the_file(tmp_path, capsys, name, text):
+    scenario = tiny_scenario_file(tmp_path)
+    sim_dir = tmp_path / "sim"
+    sim_dir.mkdir()
+    (sim_dir / "rewards_none.csv").write_text("# rewards v1\nrun,policy,discounted_reward\n0,none,1.5\n")
+    (sim_dir / "visits_none.csv").write_text("# visit-frequency v1\n0,0,0\n0,2,0\n0,0,0\n")
+    report = ["report", "--dir", str(sim_dir), "--scenario", scenario]
+    assert cli.main(report) == cli.EXIT_OK
+    assert "none,1,1.5,0.0,2" in capsys.readouterr().out
+    (sim_dir / name).write_text(text)
+    assert cli.main(report) == cli.EXIT_CONFIG
+    assert str(sim_dir / name) in capsys.readouterr().err

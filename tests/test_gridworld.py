@@ -436,6 +436,21 @@ def test_random_policy_respects_the_cost_budget():
             assert dear.selected == cheap.selected[:1]
 
 
+def test_random_policy_spends_the_budget_on_cheap_sources():
+    # k=2 pays for four UAVs of cost 0.5, and the draw takes as many.
+    stock = default_scenario()
+    cheap = dataclasses.replace(
+        stock, uavs=tuple(dataclasses.replace(uav, cost=0.5) for uav in stock.uavs)
+    )
+    pomdp = build_pomdp(cheap)
+    vf = initialize_value(pomdp)
+    steps = [
+        step for seed in range(3) for step in run_episode(pomdp, vf, cheap, "random", 2, seed=seed).steps
+    ]
+    assert any(len(step.selected) > 2 for step in steps)
+    assert all(0.5 * len(step.selected) <= 2 for step in steps)
+
+
 def test_episode_records_zero_likelihood_as_failure(tiny_solution, monkeypatch):
     scenario, pomdp, vf = tiny_solution
 

@@ -40,6 +40,7 @@ from helpers import (
     random_belief,
     random_pomdp,
     random_sources,
+    select_bench_problem,
 )
 
 
@@ -440,16 +441,24 @@ def test_selection_problem_validation():
 def test_distance_bound_equal_selections_has_zero_lhs():
     rng = np.random.default_rng(20)
     # One dominant source: greedy and brute force agree on it.
-    problem = SelectionProblem(
+    dominant = SelectionProblem(
         belief=random_belief(rng, 3),
         action=0,
         sources=(revealing_source(3), uninformative_source(3)),
         budget=1.0,
     )
-    report = check_distance_bound(problem, problem.belief)
-    assert report.greedy == report.optimal
-    assert report.lhs == 0.0
-    assert report.passed
+    # Greedy and brute force pick the same set in another order; both
+    # posteriors multiply in one order, so they agree to the bit.
+    reordered = select_bench_problem(0, 3)
+    for problem, picks in ((dominant, ((0,), (0,))), (reordered, ((6, 2, 3), (2, 3, 6)))):
+        report = check_distance_bound(problem, problem.belief)
+        assert (report.greedy, report.optimal) == picks
+        assert report.lhs == 0.0
+        assert report.passed
+        num_states = problem.belief.num_states
+        pomdp = random_pomdp(rng, num_states, 2, 2)
+        vf = ValueFunction.from_arrays(rng.normal(size=(3, num_states)), [0, 1, 0])
+        assert check_value_bound(vf, problem, problem.belief, pomdp).lhs == 0.0
 
 
 def test_distance_bound_uninformative_sources_both_sides_zero():
