@@ -97,12 +97,20 @@ def _parse_policies(text: str, default_k: int) -> list[tuple[str, int]]:
     return out
 
 
-def _unconverged(result: SolveResult) -> str:
-    return (
-        f"the solve did not converge: {result.iterations} backups ran and the last "
-        f"still moved the point values by {result.final_delta!r} in sum; "
-        "raise --max-iter or --tol"
-    )
+def _solve_and_warn(pomdp, args) -> tuple[SolveResult, int]:
+    """Solve on --beliefs points drawn with --seed; warn on stderr when the
+    solve stops at --max-iter unconverged.  Returns the result and the
+    number of points."""
+    points = sample_beliefs_uniform(pomdp.num_states, args.beliefs, args.seed)
+    result = solve(pomdp, points, tol=args.tol, max_iter=args.max_iter)
+    if not result.converged:
+        print(
+            f"warning: the solve did not converge: {result.iterations} backups ran and the last "
+            f"still moved the point values by {result.final_delta!r} in sum; "
+            "raise --max-iter or --tol",
+            file=sys.stderr,
+        )
+    return result, len(points)
 
 
 def cmd_solve(args) -> int:
@@ -114,19 +122,15 @@ def cmd_solve(args) -> int:
         pomdp = read_pomdp_file(args.model)
     else:
         pomdp = build_pomdp(read_scenario_file(args.scenario))
-    points = sample_beliefs_uniform(pomdp.num_states, args.beliefs, args.seed)
-    result = solve(pomdp, points, tol=args.tol, max_iter=args.max_iter)
+    result, num_points = _solve_and_warn(pomdp, args)
     write_value_function(result.value_function, args.out)
     print(
         f"solve: converged={result.converged} iterations={result.iterations} "
         f"final_l1_delta={result.final_delta!r} alphas={len(result.value_function)} "
-        f"points={len(points)}"
+        f"points={num_points}"
     )
     print(f"wrote {args.out}")
-    if not result.converged:
-        print(f"warning: {_unconverged(result)}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return EXIT_OK if result.converged else EXIT_NUMERIC
 
 
 def cmd_simulate(args) -> int:
@@ -136,11 +140,7 @@ def cmd_simulate(args) -> int:
     if args.value_function:
         vf = read_value_function(args.value_function)
     else:
-        points = sample_beliefs_uniform(pomdp.num_states, args.beliefs, args.seed)
-        result = solve(pomdp, points, tol=args.tol, max_iter=args.max_iter)
-        if not result.converged:
-            print(f"warning: {_unconverged(result)}", file=sys.stderr)
-        vf = result.value_function
+        vf = _solve_and_warn(pomdp, args)[0].value_function
     for policy, k in policies:
         label = _policy_label(policy, k)
         result = monte_carlo(pomdp, vf, scenario, policy, k, n_runs=args.runs, base_seed=args.seed)
@@ -198,7 +198,11 @@ def _read_rewards(path: str) -> list[float]:
 
 
 def _read_visits(path: str, scenario: Scenario) -> list[list[int]]:
-    grid = [[int(v) for v in line.split(",")] for line in _read_lines(path, VISITS_CSV_HEADER)]
+    lines = _read_lines(path, VISITS_CSV_HEADER)
+    try:
+        grid = [[int(v) for v in line.split(",")] for line in lines]
+    except ValueError:
+        raise _ConfigError(f"{path}: a visit count is not an integer") from None
     if len(grid) != scenario.height or any(len(row) != scenario.width for row in grid):
         raise _ConfigError(
             f"{path}: expected a {scenario.height} x {scenario.width} grid of visit counts"

@@ -10,10 +10,11 @@ vector): it splits the sensor into a floor shared by every observation plus
 the few entries that depart from it (`Pomdp.sensor_split`), so on the grid's
 diagonal-plus-uniform sensor each observation adds a rank-1 term to one
 shared score table.  `solve` iterates backups under the Perseus acceptance
-rule, so point values never fall and the iteration converges.  Points are
-sampled once up front and never adapted: the auxiliary observation channels
-available at runtime are unknown when the plan is computed, so the sampler
-covers the whole simplex instead of chasing reachable beliefs.
+rule, a prune of the backed-up and current sets pooled, so point values
+never fall and the iteration converges.  Points are sampled once up front
+and never adapted: the auxiliary observation channels available at runtime
+are unknown when the plan is computed, so the sampler covers the whole
+simplex instead of chasing reachable beliefs.
 """
 
 from __future__ import annotations
@@ -183,7 +184,8 @@ def _dot_table(matrix: np.ndarray, points: BeliefPointSet) -> np.ndarray:
 
     Each column is a matvec against one vector, so its rounding never
     depends on which other vectors are in the set: pruning preserves point
-    values bit-for-bit, and a column computed again equals the first.
+    values bit-for-bit, and `solve` carries a vector's column across
+    backups, equal to one computed again.
     """
     table = np.empty((len(matrix), len(points)))
     for row, coeffs in zip(table, matrix):
@@ -319,15 +321,17 @@ def solve(
     """Monotone point-based value iteration from `initialize_value`.
 
     Each iteration backs up the current set (`backup`, the plain PBVI
-    operator), then applies the Perseus acceptance rule (Spaan & Vlassis,
-    JAIR 2005): a point whose value under the backed-up set falls below its
-    value under the current set keeps its current winning vector, which joins
-    the new set.  The union is pruned to the vectors that win at some point.
-    So V_t(b) >= V_{t-1}(b) at every sampled point: the values rise from the
-    lower bound and are bounded above, so they converge, and plain PBVI's
-    cycling between two sets cannot occur.  One point x vector dot table per
-    iteration, over the backed-up set and the kept vectors, gives the
-    acceptance test, the prune and V_t.
+    operator), pools the backed-up set, placed first, with the current set,
+    and prunes the pool to the vectors that are some point's first argmax.
+    This is the Perseus acceptance rule (Spaan & Vlassis, JAIR 2005): where
+    the backup does not lower a point's value the point's first argmax lies
+    in the backed-up block, and where it does the point's first argmax is
+    its current winning vector, which Perseus keeps.  So
+    V_t(b) = max(V_{t-1}(b), backed-up value at b) at every sampled point:
+    the values rise from the lower bound and are bounded above, so they
+    converge, and plain PBVI's cycling between two sets cannot occur.  The
+    point x vector dot table is carried from one iteration to the next:
+    each one computes only the backed-up set's columns.
 
     Stops when the summed V_t(b) - V_{t-1}(b) over the sampled points drops
     below `tol` (converged=True, `iterations` backups ran) or after
@@ -344,42 +348,22 @@ def solve(
         raise ValueError("max_iter must be at least 1")
     vf = initialize_value(pomdp)
     table = _dot_table(vf.matrix, points)
-    prev_vals, owners = table.max(axis=1), table.argmax(axis=1)
+    values = table.max(axis=1)
     delta = np.inf
     for iteration in range(1, max_iter + 1):
-        vf, owners, vals = _accept(backup(pomdp, vf, points), vf, owners, prev_vals, points)
-        delta = float(np.abs(vals - prev_vals).sum())
-        prev_vals = vals
+        backed_up = backup(pomdp, vf, points)
+        table = np.concatenate((_dot_table(backed_up.matrix, points), table), axis=1)
+        winners = np.unique(table.argmax(axis=1))
+        table = table[:, winners]
+        vf = ValueFunction.from_arrays(
+            np.concatenate((backed_up.matrix, vf.matrix))[winners],
+            np.concatenate((backed_up.actions, vf.actions))[winners],
+        )
+        previous, values = values, table.max(axis=1)
+        delta = float(np.abs(values - previous).sum())
         if delta < tol:
             return SolveResult(vf, iteration, delta, True)
     return SolveResult(vf, max_iter, delta, False)
-
-
-def _accept(
-    backed_up: ValueFunction,
-    current: ValueFunction,
-    owners: np.ndarray,
-    values: np.ndarray,
-    points: BeliefPointSet,
-) -> tuple[ValueFunction, np.ndarray, np.ndarray]:
-    """The acceptance rule of `solve`, then prune.
-
-    `owners` (B,) holds each point's winning vector in `current` and
-    `values` (B,) its value.  Points whose value under `backed_up` falls
-    below `values` keep their owner, which joins the backed-up set; the
-    union is pruned to the vectors that win at some point, ties to the
-    lowest index.  Returns the pruned set, each point's owner in it, and the
-    point values, all read off one dot table.
-    """
-    table = _dot_table(backed_up.matrix, points)
-    kept = np.unique(owners[table.max(axis=1) < values])
-    table = np.concatenate((table, _dot_table(current.matrix[kept], points)), axis=1)
-    owners = table.argmax(axis=1)
-    winners = np.unique(owners)
-    matrix = np.concatenate((backed_up.matrix, current.matrix[kept]))[winners]
-    actions = np.concatenate((backed_up.actions, current.actions[kept]))[winners]
-    pruned = ValueFunction.from_arrays(matrix, actions)
-    return pruned, np.searchsorted(winners, owners), table.max(axis=1)
 
 
 # ---------------------------------------------------------------------------

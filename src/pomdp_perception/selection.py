@@ -191,7 +191,13 @@ def mutual_information(problem: SelectionProblem, subset: PerceptionAction) -> f
     Values within 1e-12 of zero are clamped to exactly 0; floating-point sums
     can dip a hair below zero for uninformative subsets.
     """
-    gain = entropy(problem.belief) - conditional_entropy(problem, subset)
+    return _clamped_gain(entropy(problem.belief), problem, subset)
+
+
+def _clamped_gain(prior_entropy: float, problem: SelectionProblem, subset: PerceptionAction) -> float:
+    """`prior_entropy` minus the subset's conditional entropy, clamped to 0
+    within _MI_CLAMP of zero."""
+    gain = prior_entropy - conditional_entropy(problem, subset)
     return 0.0 if abs(gain) < _MI_CLAMP else gain
 
 
@@ -284,6 +290,7 @@ def brute_force_optimal(problem: SelectionProblem) -> SelectionOutcome:
     if n > BRUTE_FORCE_MAX_SOURCES:
         raise TooManySources(f"{n} sources; exhaustive cap is {BRUTE_FORCE_MAX_SOURCES}")
     costs = [src.cost for src in problem.sources]
+    prior_entropy = entropy(problem.belief)
     best_subset: tuple[int, ...] = ()
     best_utility = 0.0
     best_cost = 0.0
@@ -292,7 +299,7 @@ def brute_force_optimal(problem: SelectionProblem) -> SelectionOutcome:
             total = sum(costs[j] for j in combo)
             if total > problem.budget:
                 continue
-            utility = mutual_information(problem, PerceptionAction(combo))
+            utility = _clamped_gain(prior_entropy, problem, PerceptionAction(combo))
             if utility > best_utility or (utility == best_utility and combo < best_subset):
                 best_subset = combo
                 best_utility = utility

@@ -413,3 +413,21 @@ def oracle_backup(pomdp: Pomdp, previous: np.ndarray, points: np.ndarray) -> lis
         if not any(a == best[0] and np.allclose(c, best[1], rtol=0, atol=1e-9) for a, c in emitted):
             emitted.append(best)
     return emitted
+
+
+def oracle_pool_and_prune(backed_up: np.ndarray, current: np.ndarray, points: np.ndarray) -> list[int]:
+    """One acceptance step of the monotone solve as a loop: pool the
+    backed-up rows, then the current rows, and keep every row that is some
+    point's first maximum.  Returns their pool indices in pool order.  Each
+    row is scored on its own, one `points @ row`, so a row's scores never
+    depend on which other rows are pooled."""
+    pool = list(backed_up) + list(current)
+    scores = [points @ row for row in pool]
+    kept = set()
+    for b in range(len(points)):
+        best = 0
+        for k in range(1, len(pool)):
+            if scores[k][b] > scores[best][b]:
+                best = k
+        kept.add(best)
+    return sorted(kept)

@@ -214,8 +214,9 @@ def test_report_rejects_csvs_without_their_version_header(tmp_path, capsys):
         ("rewards_none.csv", "# rewards v1\nrun,policy,discounted_reward\n0,none\n"),
         ("visits_none.csv", "# visit-frequency v1\n0,0,0\n"),
         ("visits_none.csv", "# visit-frequency v1\n0\n0\n0\n"),
+        ("visits_none.csv", "# visit-frequency v1\n0,0,0\n0,x,0\n0,0,0\n"),
     ],
-    ids=["no-rows", "no-reward-column", "short-row", "one-grid-row", "one-grid-column"],
+    ids=["no-rows", "no-reward-column", "short-row", "one-grid-row", "one-grid-column", "non-integer-count"],
 )
 def test_report_rejects_malformed_csvs_and_names_the_file(tmp_path, capsys, name, text):
     scenario = tiny_scenario_file(tmp_path)

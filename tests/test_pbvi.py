@@ -32,6 +32,7 @@ from helpers import (
     mdp_value_iteration,
     oracle_backup,
     oracle_one_step_value,
+    oracle_pool_and_prune,
     oracle_sample_beliefs,
     random_belief,
     random_pomdp,
@@ -453,25 +454,60 @@ def test_solve_identity_observation_matches_mdp_value_iteration():
 )
 def test_solve_point_values_never_decrease(seed, grid, discount, accuracy, count):
     # Plain backup + prune lowers some point's value within 150 iterations
-    # on almost every such 3x3 grid; the acceptance rule must never let it.
+    # on almost every such 3x3 grid; the acceptance rule must never let it:
+    # each step's point values are the larger of the current set's and the
+    # backed-up set's, exactly.
     rng = np.random.default_rng(seed)
     if grid:
         p = build_pomdp(tiny_grid(discount=discount, intrinsic_sensor_accuracy=accuracy))
     else:
         p = random_pomdp(rng, int(rng.integers(2, 6)), 3, int(rng.integers(2, 5)), discount)
     points = sample_beliefs_uniform(p.num_states, count, seed=seed)
-    inputs = []
+    inputs, outputs = [], []
 
     def recording_backup(pomdp, previous, points):
         inputs.append(point_values(previous, points))
-        return backup(pomdp, previous, points)
+        outputs.append(backup(pomdp, previous, points))
+        return outputs[-1]
 
     with mock.patch.object(pbvi, "backup", recording_backup):
         result = solve(p, points, tol=1e-9, max_iter=150)
     values = inputs + [point_values(result.value_function, points)]
     assert len(values) == result.iterations + 1
-    for before, after in zip(values, values[1:]):
-        assert np.all(after >= before)
+    for before, backed_up, after in zip(values, outputs, values[1:]):
+        assert np.array_equal(after, np.maximum(before, point_values(backed_up, points)))
+
+
+# Each model's backup lowers some point's value within 20 iterations, so the
+# acceptance rule is exercised: (seed, discount) of a random model, or the
+# 3x3 grid.
+@pytest.mark.parametrize(
+    "model", ["grid", (18, 0.5), (12, 0.6), (36, 0.6)], ids=["grid", "random-18", "random-12", "random-36"]
+)
+def test_solve_pools_backed_up_vectors_first_and_keeps_each_points_first_maximum(model):
+    if model == "grid":
+        p = build_pomdp(tiny_grid(discount=0.7, intrinsic_sensor_accuracy=0.8))
+        points = sample_beliefs_uniform(p.num_states, 40, seed=7)
+    else:
+        rng = np.random.default_rng(model[0])
+        p = random_pomdp(rng, int(rng.integers(2, 6)), 3, int(rng.integers(2, 5)), model[1])
+        points = sample_beliefs_uniform(p.num_states, 25, seed=7)
+    steps = []
+
+    def recording_backup(pomdp, previous, points):
+        steps.append((previous, backup(pomdp, previous, points)))
+        return steps[-1][1]
+
+    with mock.patch.object(pbvi, "backup", recording_backup):
+        result = solve(p, points, tol=1e-12, max_iter=20)
+    assert len(steps) == 20
+    kept_old = 0
+    for (current, backed_up), chosen in zip(steps, [vf for vf, _ in steps[1:]] + [result.value_function]):
+        kept = oracle_pool_and_prune(backed_up.matrix, current.matrix, points.matrix)
+        kept_old += sum(k >= len(backed_up) for k in kept)
+        assert np.array_equal(chosen.matrix, np.concatenate((backed_up.matrix, current.matrix))[kept])
+        assert np.array_equal(chosen.actions, np.concatenate((backed_up.actions, current.actions))[kept])
+    assert kept_old > 0
 
 
 def test_solve_is_deterministic():
