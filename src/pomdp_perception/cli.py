@@ -9,7 +9,9 @@ file, named in the message: `report` refuses a rewards file with no rows or
 no discounted_reward column, and a visit grid that is not the scenario's
 height x width.  They also include a `select-bench` cap out of range:
 --max-states and --max-symbols below 2, or --max-sources outside
-[2, BRUTE_FORCE_MAX_SOURCES], refused before any instance is solved.
+[2, BRUTE_FORCE_MAX_SOURCES], refused before any instance is solved; and,
+for the solve of `solve` and of `simulate`, --beliefs or --max-iter below 1
+or a --tol that is not positive, each message naming the flag.
 
 Every file read or written opens with its version header line, checked on
 reading; '#' starts a comment.
@@ -98,9 +100,15 @@ def _parse_policies(text: str, default_k: int) -> list[tuple[str, int]]:
 
 
 def _solve_and_warn(pomdp, args) -> tuple[SolveResult, int]:
-    """Solve on --beliefs points drawn with --seed; warn on stderr when the
-    solve stops at --max-iter unconverged.  Returns the result and the
-    number of points."""
+    """Check --beliefs, --tol and --max-iter, solve on --beliefs points drawn
+    with --seed, and warn on stderr when the solve stops at --max-iter
+    unconverged.  Returns the result and the number of points."""
+    if args.beliefs < 1:
+        raise _ConfigError("--beliefs must be at least 1")
+    if args.tol <= 0:
+        raise _ConfigError("--tol must be positive")
+    if args.max_iter < 1:
+        raise _ConfigError("--max-iter must be at least 1")
     points = sample_beliefs_uniform(pomdp.num_states, args.beliefs, args.seed)
     result = solve(pomdp, points, tol=args.tol, max_iter=args.max_iter)
     if not result.converged:
@@ -114,10 +122,6 @@ def _solve_and_warn(pomdp, args) -> tuple[SolveResult, int]:
 
 
 def cmd_solve(args) -> int:
-    if args.max_iter < 1:
-        raise _ConfigError("--max-iter must be at least 1")
-    if args.tol <= 0:
-        raise _ConfigError("--tol must be positive")
     if args.model:
         pomdp = read_pomdp_file(args.model)
     else:

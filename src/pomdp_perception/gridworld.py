@@ -321,9 +321,10 @@ class SimResult:
         return sum(1 for e in self.episodes if e.failed)
 
 
-def _sample_index(rng: np.random.Generator, probs: np.ndarray) -> int:
-    cumulative = np.cumsum(probs)
-    return int(min(np.searchsorted(cumulative, rng.random(), side="right"), probs.size - 1))
+def _sample_index(rng: np.random.Generator, cumulative: np.ndarray) -> int:
+    """Draw an index from the distribution whose running sums are `cumulative`,
+    one `np.cumsum` row."""
+    return int(min(np.searchsorted(cumulative, rng.random(), side="right"), cumulative.size - 1))
 
 
 def _select_sources(
@@ -412,6 +413,7 @@ def run_episode(
     rng_trans, rng_obs, rng_aux, rng_select = (np.random.default_rng(s) for s in seq.spawn(4))
 
     wants_sources = policy != "none" and k > 0
+    transition_sums, observation_sums = pomdp.cumulative
     belief = Belief.uniform(pomdp.num_states)
     state = scenario.start_cell
     steps: list[StepRecord] = []
@@ -423,8 +425,8 @@ def run_episode(
         action = int(action_override[t]) if action_override is not None else best_action(vf, belief)
         reward = float(pomdp.reward[state, action])
         total += scenario.discount**t * reward
-        next_state = _sample_index(rng_trans, pomdp.transition[state, action])
-        obs = _sample_index(rng_obs, pomdp.observation[next_state, action])
+        next_state = _sample_index(rng_trans, transition_sums[state, action])
+        obs = _sample_index(rng_obs, observation_sums[next_state, action])
         # An impossible intrinsic observation records no selection and draws
         # neither a selection nor a report.
         selected = PerceptionAction()
@@ -433,7 +435,8 @@ def run_episode(
             sources = uav_sources_at(scenario, t) if wants_sources else []
             selected = _select_sources(policy, k, belief, action, sources, rng_select)
             symbols = tuple(
-                _sample_index(rng_aux, sources[i].likelihood[next_state, action]) for i in selected
+                _sample_index(rng_aux, np.cumsum(sources[i].likelihood[next_state, action]))
+                for i in selected
             )
             belief = belief_update_auxiliary(belief, action, selected, sources, symbols)
         except ZeroLikelihoodObservation:

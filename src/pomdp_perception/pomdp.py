@@ -134,6 +134,17 @@ class Pomdp:
             arr.setflags(write=False)
         return split
 
+    @cached_property
+    def cumulative(self) -> tuple[np.ndarray, np.ndarray]:
+        """Running sums of the transition rows T(s, a, .) and the sensor rows
+        O(s', a, .), each row summed as `np.cumsum` sums it alone; built on
+        first use for drawing successors and observations with one
+        `searchsorted` each.  Both arrays are read-only."""
+        sums = (np.cumsum(self.transition, axis=2), np.cumsum(self.observation, axis=2))
+        for arr in sums:
+            arr.setflags(write=False)
+        return sums
+
 
 @dataclass(frozen=True, eq=False)
 class Belief:

@@ -16,15 +16,19 @@ exactly 0.
 
 The greedy scheme scores only candidates the remaining budget can still pay
 for: budgets only shrink, so a candidate dropped for its cost would never be
-added.  It keeps the chosen set's joint table p(outcome, state) over the
-reachable outcomes only, extends it by one source per pick, and scores each
-round's candidates in one vectorized pass.  Ratios (and singleton entropies)
-within 1e-12 of the best count as tied, and ties go to the lowest source
-index, so rounding never decides an exact tie.
+added.  It scores by the conditional-independence identity
+I(S; Y_U) = H(Y_U) - sum_{j in U} H(Y_j | S) (Krause & Guestrin, UAI 2005):
+it keeps the chosen set's joint table p(outcome, state) over the reachable
+outcomes only, extends it by one source per pick, and scores each round's
+candidates in one vectorized pass that takes logs over the report marginal
+p(outcome, report) only, never over (outcome x state) tables.  Ratios (and
+singleton utilities) within 1e-12 of the best count as tied, and ties go to
+the lowest source index, so rounding never decides an exact tie.
 
-All entropies are in nats.  Conditional entropies enumerate the joint outcome
-alphabet of the chosen sources, so subset sizes are limited by
-`DEFAULT_JOINT_CAP`, read at call time.
+All entropies are in nats.  `conditional_entropy`, the exhaustive search and
+the bound checks enumerate (outcome x state) tables over the joint outcome
+alphabet of the chosen sources; that alphabet, in greedy's scoring too, is
+limited by `DEFAULT_JOINT_CAP`, read at call time.
 """
 
 from __future__ import annotations
@@ -168,21 +172,16 @@ def _joint_weights(
     return weights
 
 
-def _conditional_entropy_of(joint: np.ndarray) -> np.ndarray:
-    """H(state | outcome) = H(outcome, state) - H(outcome) of joint tables
-    p(outcome, state) of shape (..., J, S), one value per leading index."""
-    outcome = joint.sum(axis=-1)
-    return _xlogx(outcome).sum(axis=-1) - _xlogx(joint).sum(axis=(-2, -1))
-
-
 def conditional_entropy(problem: SelectionProblem, subset: PerceptionAction) -> float:
     """Expected posterior entropy of the state given the subset's reports.
 
-    Sums over the subset's joint outcome alphabet; for the empty subset this
-    is just the entropy of the current belief.
+    Sums H(outcome, state) - H(outcome) over the subset's joint outcome
+    alphabet; for the empty subset this is just the entropy of the current
+    belief.
     """
     weights = _joint_weights(problem, subset).reshape(-1, problem.belief.num_states)
-    return float(_conditional_entropy_of(weights * problem.belief.probs[None, :]))
+    joint = weights * problem.belief.probs[None, :]
+    return float(_xlogx(joint.sum(axis=-1)).sum(axis=-1) - _xlogx(joint).sum(axis=(-2, -1)))
 
 
 def mutual_information(problem: SelectionProblem, subset: PerceptionAction) -> float:
@@ -223,17 +222,24 @@ def generalized_greedy(problem: SelectionProblem) -> SelectionOutcome:
     rule (pick the argmax, add it if the budget permits, drop it either way)
     without the rounds that would drop an unaffordable argmax and change
     nothing.  The result is whichever of the constructed subset and the best
-    affordable singleton leaves the lower conditional entropy; the singleton
-    entropies are the first round's scores.  If no single source is
+    affordable singleton carries the higher mutual information; the
+    singletons' are the first round's scores.  If no single source is
     affordable the empty selection is returned.
 
-    The chosen set's joint table p(outcome, state) keeps only outcomes of
-    positive probability and grows by one source per pick; each round scores
-    all candidates at once, each alphabet padded to the widest with outcomes
-    of zero probability.  Every scored subset's full joint alphabet must stay
-    within `DEFAULT_JOINT_CAP`.  Ratios within 1e-12 of the best go to the
-    lowest source index, the constructed subset wins a tie with the best
-    singleton, and the lowest index wins a tie between singletons.
+    Candidates are scored by the conditional-independence identity: for the
+    chosen set C and a candidate j, I(S; Y_C, Y_j) = H(Y_C, Y_j) -
+    sum_{i in C + j} H(Y_i | S).  Each source's noise term H(Y_i | S) under
+    the belief is computed once per call; each round takes logs only over
+    the report marginal p(outcome of C, report of j), never over the joint
+    (outcome x state) table.  The chosen set's joint table p(outcome, state)
+    keeps only outcomes of positive probability and grows by one source per
+    pick; each round scores all candidates at once, each alphabet padded to
+    the widest with reports of zero probability.  Every scored subset's full
+    joint alphabet must stay within `DEFAULT_JOINT_CAP`.  Ratios within
+    1e-12 of the best go to the lowest source index, the constructed subset
+    wins a tie with the best singleton, and the lowest index wins a tie
+    between singletons.  The reported utility is `mutual_information` of
+    the picked set.
     """
     sources = problem.sources
     num_states = problem.belief.num_states
@@ -244,33 +250,37 @@ def generalized_greedy(problem: SelectionProblem) -> SelectionOutcome:
     likelihoods = np.zeros((len(sources), max(sizes, default=0), num_states))
     for j, src in enumerate(sources):
         likelihoods[j, : sizes[j]] = src.likelihood[:, problem.action, :].T
+    # noise[j] = -H(Y_j | S) = sum_s b(s) sum_y L log L.
+    noise = _xlogx(likelihoods).sum(axis=1) @ problem.belief.probs
 
     affordable = [j for j in range(len(sources)) if costs[j] <= problem.budget]
     pool = affordable
     chosen: list[int] = []
     chosen_cost = 0.0
     table = problem.belief.probs[None, :]       # p(outcome, state) of `chosen`
-    h_chosen = float(_conditional_entropy_of(table))
-    h_singles = np.empty(0)
+    noise_chosen = 0.0
+    mi_chosen = 0.0
+    mi_singles = np.empty(0)
     while pool:
         _check_alphabet([sizes[j] for j in chosen] + [max(sizes[j] for j in pool)])
-        joint = table[None, :, None, :] * likelihoods[pool][:, None, :, :]
-        h = _conditional_entropy_of(joint.reshape(len(pool), -1, num_states))
+        reports = table @ likelihoods[pool].transpose(0, 2, 1)
+        mi = noise_chosen + noise[pool] - _xlogx(reports).sum(axis=(1, 2))
         if not chosen:
-            h_singles = h
-        slot = _first_within_tol((h_chosen - h) / scaled_costs[pool])
+            mi_singles = mi
+        slot = _first_within_tol((mi - mi_chosen) / scaled_costs[pool])
         j_star = pool[slot]
         chosen.append(j_star)
         chosen_cost += costs[j_star]
-        h_chosen = float(h[slot])
-        extended = joint[slot].reshape(-1, num_states)
+        noise_chosen += noise[j_star]
+        mi_chosen = float(mi[slot])
+        extended = (table[:, None, :] * likelihoods[j_star]).reshape(-1, num_states)
         table = extended[extended.any(axis=1)]
         pool = [j for j in pool if j != j_star and chosen_cost + costs[j] <= problem.budget]
 
     if not affordable:
         return SelectionOutcome(PerceptionAction(), 0.0, 0.0)
-    best_single = affordable[_first_within_tol(-h_singles)]
-    if h_chosen <= h_singles.min() + _TIE_TOL:
+    best_single = affordable[_first_within_tol(mi_singles)]
+    if mi_chosen >= mi_singles.max() - _TIE_TOL:
         picked = PerceptionAction(chosen)
         picked_cost = chosen_cost
     else:

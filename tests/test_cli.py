@@ -174,6 +174,27 @@ def test_non_finite_scenario_and_model_files_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tol", "0", "error: --tol must be positive"),
+        ("--max-iter", "0", "error: --max-iter must be at least 1"),
+        ("--beliefs", "0", "error: --beliefs must be at least 1"),
+    ],
+)
+def test_solve_flags_out_of_range_exit_1_naming_the_flag(tmp_path, capsys, command, flag, value, message):
+    scenario = tiny_scenario_file(tmp_path)
+    if command == "solve":
+        argv = ["solve", "--scenario", scenario, "--out", str(tmp_path / "vf.txt")]
+    else:
+        argv = ["simulate", "--scenario", scenario, "--policies", "none", "--out-dir", str(tmp_path / "sim")]
+    assert cli.main(argv + [flag, value]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == message
+    assert not (tmp_path / "vf.txt").exists()
+    assert not (tmp_path / "sim" / "rewards_none.csv").exists()
+
+
 def test_missing_input_files_exit_1_and_name_the_path(tmp_path, capsys):
     scenario = tiny_scenario_file(tmp_path)
     missing = str(tmp_path / "missing.txt")

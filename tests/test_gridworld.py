@@ -544,6 +544,29 @@ def test_stock_map_episodes_are_pinned(stock_qmdp, policy):
     assert (digest, rewards) == PINNED_STOCK_EPISODES[policy]
 
 
+class _Uniforms:
+    """Stands in for a Generator: random() returns the given values in turn."""
+
+    def __init__(self, values):
+        self.random = iter(values).__next__
+
+
+def test_cached_cumulative_draws_equal_cumsum_draws(stock_qmdp):
+    # Every (s, a) row of the stock model's transitions and intrinsic sensor,
+    # at 1,000 uniforms including both ends of [0, 1).
+    _, pomdp, _ = stock_qmdp
+    uniforms = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], np.random.default_rng(8).random(998)])
+    for table, cached in zip((pomdp.transition, pomdp.observation), pomdp.cumulative):
+        for s, a in np.ndindex(table.shape[:2]):
+            row = table[s, a]
+            expected = np.minimum(np.searchsorted(np.cumsum(row), uniforms, side="right"), row.size - 1)
+            drawn = np.minimum(np.searchsorted(cached[s, a], uniforms, side="right"), row.size - 1)
+            assert np.array_equal(drawn, expected)
+            rng = _Uniforms(uniforms[:10])
+            draws = [gridworld._sample_index(rng, cached[s, a]) for _ in range(10)]
+            assert draws == expected[:10].tolist()
+
+
 def test_blind_and_zero_budget_episodes_build_no_source(stock_qmdp, monkeypatch):
     _, pomdp, vf = stock_qmdp
 

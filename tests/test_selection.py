@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pomdp_perception import (
     Belief,
@@ -335,6 +337,46 @@ def test_greedy_matches_plain_loop_oracle_on_the_stock_map():
                 belief=Belief(probs), action=int(rng.integers(5)), sources=sources, budget=2.0
             )
             greedy_agrees_with_oracle(problem)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.integers(2, 6),
+    num_sources=st.integers(1, 7),
+    deterministic_share=st.floats(0.0, 1.0),
+    beta=st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_greedy_matches_plain_loop_oracle_with_deterministic_mixed_alphabet_sources(
+    seed, num_states, num_sources, deterministic_share, beta
+):
+    # Deterministic sources report one symbol per state with certainty, as a
+    # UAV does; alphabets of 2 to 5 symbols make greedy pad its likelihood
+    # stack; costs come partly from a short list, so ratios can tie exactly.
+    rng = np.random.default_rng(seed)
+    sources = []
+    for _ in range(num_sources):
+        m = int(rng.integers(2, 6))
+        if rng.random() < deterministic_share:
+            likelihood = np.eye(m)[rng.integers(m, size=num_states)]
+        else:
+            likelihood = rng.dirichlet(np.ones(m), size=num_states)
+        cost = rng.choice([0.5, 1.5, 2.0]) if rng.random() < 0.5 else rng.uniform(0.2, 2.0)
+        sources.append(InfoSource(likelihood=likelihood[:, None, :], cost=float(cost)))
+    probs = rng.dirichlet(np.ones(num_states))
+    probs[rng.random(num_states) < 0.3] = 0.0
+    if probs.sum() == 0.0:
+        probs[int(rng.integers(num_states))] = 1.0
+    problem = SelectionProblem(
+        belief=Belief(probs / probs.sum()),
+        action=0,
+        sources=tuple(sources),
+        budget=float(rng.uniform(0.2, 1.05) * sum(src.cost for src in sources)),
+        beta=beta,
+    )
+    greedy_agrees_with_oracle(problem)
+    outcome = generalized_greedy(problem)
+    assert outcome.utility == mutual_information(problem, outcome.selected)
 
 
 def test_greedy_point_mass_tie_goes_to_the_lowest_indices():
