@@ -9,12 +9,15 @@ the next set.  It never builds a projection per (action, observation,
 vector): it splits the sensor into a floor shared by every observation plus
 the few entries that depart from it (`Pomdp.sensor_split`), so on the grid's
 diagonal-plus-uniform sensor each observation adds a rank-1 term to one
-shared score table.  `solve` iterates backups under the Perseus acceptance
-rule, a prune of the backed-up and current sets pooled, so point values
-never fall and the iteration converges.  Points are sampled once up front
-and never adapted: the auxiliary observation channels available at runtime
-are unknown when the plan is computed, so the sampler covers the whole
-simplex instead of chasing reachable beliefs.
+shared score table.  A (point, observation) pair that reaches none of the
+departing entries scores the shared table alone, so only the pairs that
+reach one are scored: on the stock map a simplex corner reaches about 5 of
+the 64 cells.  `solve` iterates backups, on bare arrays, under the Perseus
+acceptance rule, a prune of the backed-up and current sets pooled, so point
+values never fall and the iteration converges.  Points are sampled once up
+front and never adapted: the auxiliary observation channels available at
+runtime are unknown when the plan is computed, so the sampler covers the
+whole simplex instead of chasing reachable beliefs.
 """
 
 from __future__ import annotations
@@ -36,10 +39,14 @@ from .pomdp import (
     _write_lines,
 )
 
-# Elements of (pairs, B, max(K, S)) scratch space `backup` scores one block of
-# (action, observation) pairs in.  One pair of the stock map at 165 points
-# (27k) fits, and so do all pairs of a select-bench model at once; larger
-# blocks ran no faster on the stock map and raised the solve's peak memory.
+# Elements of scratch space `backup` scores in at once: a block of
+# (action, observation) pairs over all B points, (pairs, B, max(K, S)), or a
+# tile of (observations, points, K) scores.  One pair of the stock map at 165
+# points (27k) fits, and so do all pairs of a select-bench model at once;
+# larger blocks ran no faster on the stock map and raised the solve's peak
+# memory.  The block width also fixes the order in which a point's winning
+# scores are summed (see `_best_responses`), so changing it can change the
+# last bits of a backup and with them a solve's exact ties.
 _BLOCK_ELEMENTS = 1 << 15
 
 __all__ = [
@@ -218,33 +225,58 @@ def backup(pomdp: Pomdp, previous: ValueFunction, points: BeliefPointSet) -> Val
     point's value for action a is R(., a) . b plus its winning scores; only
     the kept points' vectors are built, from the winners' sum
     Z_a(b) = sum_w alpha_{k_w} * O(., a, w), as
-    R(., a) + discount * Z_a T_a^T.  The (action, observation) pairs are
-    scored in blocks whose (pairs, B, max(K, S)) temporaries stay within
-    _BLOCK_ELEMENTS, one pair per block at least, so a small model is scored
-    in one pass and a large one in as little memory as one pair needs.
+    R(., a) + discount * Z_a T_a^T.
+
+    Only the (point, observation) pairs whose departure term can be nonzero
+    are scored.  Where N_a(b, s') or D_a(s', w) is 0 on every departing row,
+    the pair's score is the shared term itself, so its winner is the shared
+    term's argmax, found once per point and action: on the stock map a
+    simplex corner reaches about 5 of 64 cells, so about 60 of its 64 pairs
+    per action are such.  Points that reach a departing row at every
+    observation are scored in (observations, points, K) tiles within
+    _BLOCK_ELEMENTS (at paper scale, K about 2,000, one observation and 16
+    points), the other points' departing pairs one (pair, K) row each.
+    Where every point reaches every state (a dense random model, such as a
+    select-bench one), where one block holds all pairs, or where K = 1, all
+    pairs are scored as before, in (action, observation) blocks as large as
+    _BLOCK_ELEMENTS allows.  Either way a point's winning scores are added
+    in the blocks' order, so both give the same bits.
 
     Tie-breaking is deterministic throughout: the per-observation argmax keeps
     the lowest vector index and the per-point action argmax the lowest action.
     """
-    value_ba, winners = _best_responses(pomdp, previous.matrix, points.matrix)
+    return ValueFunction.from_arrays(*_backup(pomdp, previous.matrix, points.matrix))
+
+
+def _backup(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`backup` on bare arrays: previous vectors (K, S) and points (B, S) in,
+    the backed-up (matrix, actions) out, unvalidated."""
+    value_ba, winners = _best_responses(pomdp, prev, bmat)
     best_a = np.argmax(value_ba, axis=1)
     first: dict[tuple[int, bytes], int] = {}
     for b, a in enumerate(best_a.tolist()):
         first.setdefault((a, winners[a, b].tobytes()), b)
     keep = np.fromiter(first.values(), dtype=int, count=len(first))
     tags = best_a[keep]
-    sums = _winner_sums(pomdp, previous.matrix, winners[tags, keep], tags)
+    sums = _winner_sums(pomdp, prev, winners[tags, keep], tags)
     matrix = np.empty_like(sums)
     for a in np.unique(tags).tolist():
         mine = tags == a
         trans = pomdp.transition[:, a, :]
         matrix[mine] = pomdp.reward[:, a] + pomdp.discount * (sums[mine] @ trans.T)
-    return ValueFunction.from_arrays(matrix, tags)
+    return matrix, tags
 
 
 def _best_responses(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per point and action, the backed-up value (B, A) and, per observation,
-    the index of the winning previous vector (A, B, W)."""
+    the index of the winning previous vector (A, B, W).
+
+    A point's value for an action adds its winning scores in groups of
+    `obs_step` consecutive observations, each group summed first: the order
+    the (action, observation) blocks impose, kept whichever pairs are scored,
+    since a change in the last bit can move an exact tie between actions and
+    with it the whole solve.
+    """
     num_actions = pomdp.num_actions
     num_obs = pomdp.num_observations
     num_points, num_states = bmat.shape
@@ -254,10 +286,22 @@ def _best_responses(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[n
     floor, rows, departures = pomdp.sensor_split
     value_ba = bmat @ pomdp.reward
     winners = np.empty((num_actions, num_points, num_obs), dtype=np.int32)
+    # Where one block holds every pair, or K = 1, or every point reaches
+    # every state, all pairs are scored block by block; elsewhere per
+    # action, departing pairs only.
+    every_pair = action_step >= num_actions or len(prev) == 1
     for a0 in range(0, num_actions, action_step):
         acts = slice(a0, a0 + action_step)
         reach = pomdp.discount * (bmat @ pomdp.transition[:, acts, :].transpose(1, 0, 2))
         shared = reach @ (prev * floor.T[acts, None, :]).transpose(0, 2, 1)      # (a, B, K)
+        if not (every_pair or np.count_nonzero(reach) == reach.size):
+            won = np.empty((len(reach), num_points, num_obs))
+            for i, a in enumerate(range(a0, a0 + len(reach))):
+                _score_departing_pairs(
+                    reach[i], shared[i], prev, rows[:, a], departures[:, a], winners[a], won[i]
+                )
+            _add_in_groups(value_ba[:, acts], won, obs_step)
+            continue
         ranks = np.arange(len(reach))[:, None]
         for w0 in range(0, num_obs, obs_step):
             ws = slice(w0, w0 + obs_step)
@@ -270,6 +314,79 @@ def _best_responses(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[n
             value_ba[:, acts] += won.reshape(best.shape).sum(axis=1).T
             winners[acts, :, ws] = best.transpose(0, 2, 1)
     return value_ba, winners
+
+
+def _score_departing_pairs(reach, shared, prev, rows, departures, winners, won):
+    """Fill one action's winners (B, W) and winning scores `won` (B, W).
+
+    reach (B, S') and shared (B, K) are the action's N_a and shared term,
+    rows and departures (m, W) its sensor departures.  A pair none of whose
+    departure terms can be nonzero takes the shared argmax; points that
+    depart at every observation are scored in (observations, points, K)
+    tiles, the other points' departing pairs one (pair, K) row each.  The
+    winning scores are then formed again for the winners alone: the products
+    summed over departing rows in row order, as `np.einsum` sums them, then
+    the shared term added, so they equal the tiles' scores bit for bit.
+    """
+    num_obs, num_vectors = rows.shape[1], len(prev)
+    picked = reach[:, rows].transpose(1, 0, 2)                                # (m, B, W)
+    live = ((picked != 0.0) & (departures[:, None] != 0.0)).any(axis=0)      # (B, W)
+    weights = prev.T[rows] * departures[:, :, None]                           # (m, W, K)
+    winners[:] = shared.argmax(axis=1)[:, None]
+    # One departing row (the grid's sensor) makes each score an outer product.
+    if len(rows) == 1:
+        tile_spec, pair_spec, by_row, per_row = "wp,wk->wpk", "n,nk->nk", picked[0], weights[0]
+    else:
+        tile_spec, pair_spec, by_row, per_row = "mwp,mwk->wpk", "mn,mnk->nk", picked, weights
+    full = live.all(axis=1)
+    everywhere = np.flatnonzero(full)
+    if everywhere.size:
+        picked_f = np.ascontiguousarray(by_row[..., everywhere, :].swapaxes(-1, -2))  # (m, W, F)
+        shared_f = shared[everywhere]
+        best_f = np.empty((num_obs, everywhere.size), dtype=np.intp)
+        point_step, obs_step = _tile_shape(everywhere.size, num_obs, num_vectors)
+        for w0 in range(0, num_obs, obs_step):
+            ws = slice(w0, w0 + obs_step)
+            for p0 in range(0, everywhere.size, point_step):
+                ps = slice(p0, p0 + point_step)
+                scores = np.einsum(tile_spec, picked_f[..., ws, ps], per_row[..., ws, :])
+                scores += shared_f[ps]                                        # (w, p, K)
+                scores.argmax(axis=2, out=best_f[ws, ps])
+        winners[everywhere] = best_f.T
+    at_b, at_w = np.nonzero(live & ~full[:, None])
+    step = max(_BLOCK_ELEMENTS // num_vectors, 1)
+    for n0 in range(0, at_b.size, step):
+        b, w = at_b[n0 : n0 + step], at_w[n0 : n0 + step]
+        scores = np.einsum(pair_spec, by_row[..., b, w], per_row[..., w, :])
+        scores += shared[b]                                                   # (n, K)
+        winners[b, w] = scores.argmax(axis=1)
+    flat = winners + np.arange(num_obs) * num_vectors                         # into (W, K)
+    term = picked[0] * np.take(weights[0], flat)
+    for j in range(1, len(rows)):
+        term += picked[j] * np.take(weights[j], flat)
+    won[:] = term + np.take(shared, winners + np.arange(len(shared))[:, None] * num_vectors)
+
+
+def _tile_shape(num_points: int, num_obs: int, num_vectors: int) -> tuple[int, int]:
+    """(points, observations) per (observations, points, K) tile within
+    _BLOCK_ELEMENTS: as many observations as fit with every point, then as
+    many points as fit with those."""
+    obs_step = min(max(_BLOCK_ELEMENTS // (num_points * num_vectors), 1), num_obs)
+    return max(_BLOCK_ELEMENTS // (obs_step * num_vectors), 1), obs_step
+
+
+def _add_in_groups(value: np.ndarray, won: np.ndarray, obs_step: int) -> None:
+    """value (B, a) += won (a, B, W) summed over observations, in the order
+    the all-pairs blocks add: each group of `obs_step` observations summed
+    alone, as an (a, group, B) array, then the groups added one by one."""
+    by_obs = np.ascontiguousarray(won.transpose(0, 2, 1))                     # (a, W, B)
+    num_actions, num_obs, num_points = by_obs.shape
+    whole = num_obs - num_obs % obs_step
+    groups = [by_obs[:, :whole].reshape(num_actions, -1, obs_step, num_points).sum(axis=2)]
+    if whole < num_obs:
+        groups.append(by_obs[:, whole:].sum(axis=1)[:, None])
+    running = np.concatenate([value.T[:, None]] + groups, axis=1)             # (a, 1 + groups, B)
+    value[:] = np.add.accumulate(running, axis=1)[:, -1].T
 
 
 def _winner_sums(pomdp: Pomdp, prev: np.ndarray, winners: np.ndarray, tags: np.ndarray) -> np.ndarray:
@@ -331,7 +448,8 @@ def solve(
     the values rise from the lower bound and are bounded above, so they
     converge, and plain PBVI's cycling between two sets cannot occur.  The
     point x vector dot table is carried from one iteration to the next:
-    each one computes only the backed-up set's columns.
+    each one computes only the backed-up set's columns.  The loop runs on
+    bare (matrix, actions) arrays; the result is validated once.
 
     Stops when the summed V_t(b) - V_{t-1}(b) over the sampled points drops
     below `tol` (converged=True, `iterations` backups ran) or after
@@ -346,24 +464,23 @@ def solve(
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    vf = initialize_value(pomdp)
-    table = _dot_table(vf.matrix, points)
+    start = initialize_value(pomdp)
+    matrix, actions = start.matrix, start.actions
+    table = _dot_table(matrix, points)
     values = table.max(axis=1)
     delta = np.inf
     for iteration in range(1, max_iter + 1):
-        backed_up = backup(pomdp, vf, points)
-        table = np.concatenate((_dot_table(backed_up.matrix, points), table), axis=1)
+        new_matrix, new_actions = _backup(pomdp, matrix, points.matrix)
+        table = np.concatenate((_dot_table(new_matrix, points), table), axis=1)
         winners = np.unique(table.argmax(axis=1))
         table = table[:, winners]
-        vf = ValueFunction.from_arrays(
-            np.concatenate((backed_up.matrix, vf.matrix))[winners],
-            np.concatenate((backed_up.actions, vf.actions))[winners],
-        )
+        matrix = np.concatenate((new_matrix, matrix))[winners]
+        actions = np.concatenate((new_actions, actions))[winners]
         previous, values = values, table.max(axis=1)
         delta = float(np.abs(values - previous).sum())
         if delta < tol:
-            return SolveResult(vf, iteration, delta, True)
-    return SolveResult(vf, max_iter, delta, False)
+            break
+    return SolveResult(ValueFunction.from_arrays(matrix, actions), iteration, delta, delta < tol)
 
 
 # ---------------------------------------------------------------------------

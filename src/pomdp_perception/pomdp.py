@@ -59,7 +59,11 @@ def _check_stochastic(name: str, tensor: np.ndarray) -> None:
         raise ValueError(f"{name}: tensor is empty")
     if not (tensor.min() >= 0.0 and tensor.max() <= 1.0):
         raise ValueError(f"{name}: probabilities must lie in [0, 1]")
-    deviation = np.abs(tensor.sum(axis=-1) - 1.0).max()
+    if tensor.ndim == 1:
+        # The same figure for one row, without the reductions over a 0-d sum.
+        deviation = abs(float(tensor.sum()) - 1.0)
+    else:
+        deviation = np.abs(tensor.sum(axis=-1) - 1.0).max()
     if not deviation <= ROW_SUM_TOL:
         raise ValueError(f"{name}: rows must sum to 1 (worst deviation {deviation:.3e})")
 

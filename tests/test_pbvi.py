@@ -19,6 +19,7 @@ from pomdp_perception import (
     backup,
     best_action,
     build_pomdp,
+    default_scenario,
     initialize_value,
     point_values,
     prune,
@@ -371,6 +372,180 @@ def test_backup_settles_exact_ties_between_duplicate_vectors_like_the_plain_loop
     assert np.allclose(once.matrix, twice.matrix, rtol=0, atol=1e-12)
 
 
+def dead_pairs(p: Pomdp, points: BeliefPointSet) -> tuple[int, int]:
+    """(dead, scored) counts of (action, point, observation) triples: dead
+    where no departing row of O(., a, w) is reachable from the point."""
+    _, rows, departures = p.sensor_split
+    reach = np.einsum("bs,sat->abt", points.matrix, p.transition)
+    live = np.zeros((p.num_actions, len(points), p.num_observations), dtype=bool)
+    for a in range(p.num_actions):
+        picked = reach[a][:, rows[:, a]]                                       # (B, m, W)
+        live[a] = ((picked != 0.0) & (departures[:, a] != 0.0)).any(axis=1)
+    return int((~live).sum()), int(live.sum())
+
+
+def with_zero_transitions(rng, p: Pomdp, keep: float) -> Pomdp:
+    """`p` with about 1 - keep of its transition entries set to exactly 0."""
+    transition = p.transition * (rng.random(p.transition.shape) < keep)
+    transition[..., 0] += transition.sum(axis=2) == 0.0
+    transition /= transition.sum(axis=2, keepdims=True)
+    return Pomdp(transition, p.observation, p.reward, p.discount)
+
+
+def departing_pairs_scored():
+    """Counts the calls of the kernel that scores departing pairs only; a
+    model whose pairs all fit one block never reaches it."""
+    return mock.patch.object(pbvi, "_score_departing_pairs", wraps=pbvi._score_departing_pairs)
+
+
+def test_backup_matches_the_plain_loop_on_the_grid_at_corner_beliefs():
+    p = build_pomdp(tiny_grid())
+    points = sample_beliefs_uniform(9, 50, seed=30)
+    dead, scored = dead_pairs(p, points)
+    assert dead > 0 and scored > 0
+    rng = np.random.default_rng(30)
+    with departing_pairs_scored() as kernel:
+        assert_backup_matches_oracle(p, random_previous(rng, 16, 9, 5), points)
+    assert kernel.call_count == 5
+
+
+def test_backup_matches_the_plain_loop_at_corner_beliefs_with_two_departing_rows():
+    sensor = np.array(
+        [
+            [0.5, 0.5, 0.0, 0.0],
+            [0.25, 0.25, 0.25, 0.25],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.4, 0.2, 0.2, 0.2],
+            [0.1, 0.3, 0.3, 0.3],
+        ]
+    )
+    observation = np.stack([sensor, sensor[::-1], sensor[:, ::-1]], axis=1)
+    rng = np.random.default_rng(31)
+    base = with_zero_transitions(rng, random_pomdp(rng, 5, 3, 4, discount=0.85), keep=0.4)
+    p = Pomdp(base.transition, observation, base.reward, base.discount)
+    assert p.sensor_split[1].shape[0] == 2
+    points = sample_beliefs_uniform(5, 60, seed=31)
+    dead, scored = dead_pairs(p, points)
+    assert dead > 0 and scored > 0
+    with departing_pairs_scored() as kernel:
+        assert_backup_matches_oracle(p, random_previous(rng, 48, 5, 3), points)
+    assert kernel.call_count == 3
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.integers(2, 6),
+    num_actions=st.integers(2, 3),
+    num_observations=st.integers(1, 4),
+    keep=st.floats(0.2, 0.8),
+    count=st.integers(1, 30),
+    num_vectors=st.integers(2, 6),
+)
+def test_backup_matches_the_plain_loop_on_models_with_zero_transitions(
+    seed, num_states, num_actions, num_observations, keep, count, num_vectors
+):
+    rng = np.random.default_rng(seed)
+    base = random_pomdp(rng, num_states, num_actions, num_observations, discount=0.9)
+    p = with_zero_transitions(rng, base, keep)
+    points = sample_beliefs_uniform(num_states, count, seed=seed % 1000)
+    previous = random_previous(rng, num_vectors, num_states, num_actions)
+    expected = oracle_backup(p, previous.matrix, points.matrix)
+    # A 64-element budget gives these small models one (action, observation)
+    # pair per block and tiles of a few points, as large models get.
+    with mock.patch.object(pbvi, "_BLOCK_ELEMENTS", 64):
+        vf = backup(p, previous, points)
+    assert len(vf) == len(expected)
+    for (action, coeffs), row, tag in zip(expected, vf.matrix, vf.actions):
+        assert tag == action
+        assert np.allclose(row, coeffs, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("model", ["grid", "two-rows", "stock"])
+def test_departing_pairs_kernel_matches_the_whole_score_table(model):
+    # The whole (W, B, K) table of one action, scored as the all-pairs blocks
+    # score it: the kernel must pick its argmax and report its maximum.
+    rng = np.random.default_rng(35)
+    if model == "grid":
+        p = build_pomdp(tiny_grid())
+        previous, points = random_previous(rng, 16, 9, 5), sample_beliefs_uniform(9, 50, 35)
+    elif model == "two-rows":
+        p = with_zero_transitions(rng, random_pomdp(rng, 5, 3, 3), keep=0.4)
+        previous, points = random_previous(rng, 20, 5, 3), sample_beliefs_uniform(5, 30, 35)
+        assert p.sensor_split[1].shape[0] >= 2
+    else:
+        p, previous, points = stock_backup_input()
+    floor, rows, departures = p.sensor_split
+    prev, num_points = previous.matrix, len(points)
+    exact = rows.shape[0] == 1
+    for a in range(p.num_actions):
+        reach = p.discount * (points.matrix @ p.transition[:, a, :])
+        shared = reach @ (prev * floor[:, a]).T
+        picked = reach[:, rows[:, a]].transpose(1, 2, 0)                       # (m, W, B)
+        weights = prev.T[rows[:, a]] * departures[:, a, :, None]               # (m, W, K)
+        scores = np.einsum("mwb,mwk->wbk", picked, weights) + shared
+        winners = np.empty((num_points, p.num_observations), dtype=np.int32)
+        won = np.empty(winners.shape)
+        pbvi._score_departing_pairs(reach, shared, prev, rows[:, a], departures[:, a], winners, won)
+        assert np.array_equal(winners, scores.argmax(axis=2).T)
+        if exact:
+            assert np.array_equal(won, scores.max(axis=2).T)
+        else:
+            assert np.allclose(won, scores.max(axis=2).T, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("num_points", [1, 7])
+@pytest.mark.parametrize("obs_step", [1, 2, 3, 8, 9, 12])
+def test_winning_scores_are_added_in_the_blocks_order(num_points, obs_step):
+    rng = np.random.default_rng(obs_step)
+    won = rng.normal(scale=50.0, size=(2, num_points, 12))
+    start = rng.normal(scale=50.0, size=(num_points, 2))
+    expected = start.copy()
+    for w0 in range(0, 12, obs_step):
+        block = np.ascontiguousarray(won[:, :, w0 : w0 + obs_step].transpose(0, 2, 1))
+        expected += block.sum(axis=1).T
+    value = start.copy()
+    pbvi._add_in_groups(value, won, obs_step)
+    assert np.array_equal(value, expected)
+
+
+def stock_backup_input():
+    p = build_pomdp(default_scenario())
+    rng = np.random.default_rng(32)
+    return p, random_previous(rng, 165, p.num_states, p.num_actions), sample_beliefs_uniform(64, 100, seed=1)
+
+
+@pytest.mark.parametrize("model", ["grid", "random", "stock"])
+def test_backup_is_bit_identical_whatever_the_tile_shape(model):
+    if model == "grid":
+        p = build_pomdp(tiny_grid())
+        previous, points = random_previous(np.random.default_rng(33), 16, 9, 5), sample_beliefs_uniform(9, 50, 33)
+    elif model == "random":
+        rng = np.random.default_rng(34)
+        p = with_zero_transitions(rng, random_pomdp(rng, 6, 3, 4), keep=0.5)
+        previous, points = random_previous(rng, 60, 6, 3), sample_beliefs_uniform(6, 60, 34)
+    else:
+        p, previous, points = stock_backup_input()
+    shapes = []
+
+    def tiles(shape):
+        def tile_shape(num_points, num_obs, num_vectors):
+            shapes.append(shape(num_points, num_obs))
+            return shapes[-1]
+
+        return mock.patch.object(pbvi, "_tile_shape", tile_shape)
+
+    with tiles(lambda points, obs: (1, 1)):
+        single = backup(p, previous, points)
+    with tiles(lambda points, obs: (points, obs)):
+        whole = backup(p, previous, points)
+    assert shapes and all(shape != (1, 1) for shape in shapes[len(shapes) // 2 :])
+    default = backup(p, previous, points)
+    for vf in (single, whole):
+        assert np.array_equal(vf.matrix, default.matrix)
+        assert np.array_equal(vf.actions, default.actions)
+
+
 # ---------------------------------------------------------------------------
 # Prune
 # ---------------------------------------------------------------------------
@@ -465,12 +640,13 @@ def test_solve_point_values_never_decrease(seed, grid, discount, accuracy, count
     points = sample_beliefs_uniform(p.num_states, count, seed=seed)
     inputs, outputs = [], []
 
-    def recording_backup(pomdp, previous, points):
-        inputs.append(point_values(previous, points))
-        outputs.append(backup(pomdp, previous, points))
-        return outputs[-1]
+    def recording_backup(pomdp, matrix, bmat):
+        inputs.append(point_values(ValueFunction.from_arrays(matrix, np.zeros(len(matrix))), points))
+        outputs.append(ValueFunction.from_arrays(*real_backup(pomdp, matrix, bmat)))
+        return outputs[-1].matrix, outputs[-1].actions
 
-    with mock.patch.object(pbvi, "backup", recording_backup):
+    real_backup = pbvi._backup
+    with mock.patch.object(pbvi, "_backup", recording_backup):
         result = solve(p, points, tol=1e-9, max_iter=150)
     values = inputs + [point_values(result.value_function, points)]
     assert len(values) == result.iterations + 1
@@ -494,19 +670,25 @@ def test_solve_pools_backed_up_vectors_first_and_keeps_each_points_first_maximum
         points = sample_beliefs_uniform(p.num_states, 25, seed=7)
     steps = []
 
-    def recording_backup(pomdp, previous, points):
-        steps.append((previous, backup(pomdp, previous, points)))
+    def recording_backup(pomdp, matrix, bmat):
+        steps.append((matrix, real_backup(pomdp, matrix, bmat)))
         return steps[-1][1]
 
-    with mock.patch.object(pbvi, "backup", recording_backup):
+    # The solve loop passes the current set's matrix alone, so its action
+    # tags are followed here from the lower bound's, step by step.
+    real_backup = pbvi._backup
+    with mock.patch.object(pbvi, "_backup", recording_backup):
         result = solve(p, points, tol=1e-12, max_iter=20)
     assert len(steps) == 20
     kept_old = 0
-    for (current, backed_up), chosen in zip(steps, [vf for vf, _ in steps[1:]] + [result.value_function]):
-        kept = oracle_pool_and_prune(backed_up.matrix, current.matrix, points.matrix)
+    actions = initialize_value(p).actions
+    chosen_matrices = [matrix for matrix, _ in steps[1:]] + [result.value_function.matrix]
+    for (current, (backed_up, backed_up_actions)), chosen in zip(steps, chosen_matrices):
+        kept = oracle_pool_and_prune(backed_up, current, points.matrix)
         kept_old += sum(k >= len(backed_up) for k in kept)
-        assert np.array_equal(chosen.matrix, np.concatenate((backed_up.matrix, current.matrix))[kept])
-        assert np.array_equal(chosen.actions, np.concatenate((backed_up.actions, current.actions))[kept])
+        assert np.array_equal(chosen, np.concatenate((backed_up, current))[kept])
+        actions = np.concatenate((backed_up_actions, actions))[kept]
+    assert np.array_equal(result.value_function.actions, actions)
     assert kept_old > 0
 
 

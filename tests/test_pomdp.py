@@ -16,6 +16,7 @@ from pomdp_perception import (
     read_pomdp_file,
     write_pomdp_file,
 )
+from pomdp_perception.pomdp import _check_stochastic
 from helpers import (
     oracle_chained_update,
     oracle_intrinsic_update,
@@ -85,6 +86,36 @@ def test_belief_invariants():
     assert np.allclose(b.probs, 1.0 / 3.0)
     pm = Belief.point_mass(4, 2)
     assert pm.probs[2] == 1.0 and pm.probs.sum() == 1.0
+
+
+def _verdict(tensor):
+    try:
+        _check_stochastic("p", tensor)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [
+        [np.nan, 0.5, 0.5],
+        [-0.1, 0.6, 0.5],
+        [1.2, -0.2],
+        [],
+        [0.25, 0.25, 0.5 + 2e-9],
+        [0.25, 0.25, 0.5 - 2e-9],
+        [0.25, 0.25, 0.5],
+        [0.1] * 10,
+        [1.0],
+    ],
+    ids=["nan", "negative", "above-1", "empty", "over-by-2e-9", "under-by-2e-9", "exact", "ten-tenths", "one"],
+)
+def test_one_row_check_gives_the_verdict_and_message_of_the_general_check(vector):
+    # A vector takes its own shortcut to the row-sum deviation; a (1, n)
+    # matrix holding it goes the general way.
+    vector = np.array(vector, dtype=float)
+    assert _verdict(vector) == _verdict(vector[None, :])
 
 
 def test_info_source_validation():
