@@ -18,6 +18,7 @@ from .selection import (
     BRUTE_FORCE_MAX_SOURCES,
     GREEDY_GUARANTEE,
     SelectionProblem,
+    _check_beta,
     brute_force_optimal,
     check_distance_bound,
     check_value_bound,
@@ -34,6 +35,8 @@ __all__ = [
     "bench_csv_lines",
     "min_ratio",
 ]
+
+_COST_RANGE = (0.2, 1.2)
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,7 @@ class BenchConfig:
         for name in ("max_states", "max_symbols"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2, got {getattr(self, name)}")
+        _check_beta(self.beta, _COST_RANGE)
 
 
 def random_pomdp(
@@ -93,7 +97,7 @@ def random_selection_problem(
         sources.append(
             InfoSource(
                 likelihood=rng.dirichlet(np.ones(m), size=(num_states, num_actions)),
-                cost=float(rng.uniform(0.2, 1.2)),
+                cost=float(rng.uniform(*_COST_RANGE)),
             )
         )
     total_cost = sum(src.cost for src in sources)

@@ -9,9 +9,10 @@ file, named in the message: `report` refuses a rewards file with no rows or
 no discounted_reward column, and a visit grid that is not the scenario's
 height x width.  They also include a `select-bench` cap out of range:
 --max-states and --max-symbols below 2, or --max-sources outside
-[2, BRUTE_FORCE_MAX_SOURCES], refused before any instance is solved; and,
-for the solve of `solve` and of `simulate`, --beliefs or --max-iter below 1
-or a --tol that is not positive, each message naming the flag.
+[2, BRUTE_FORCE_MAX_SOURCES], or a --beta with a cost**beta not finite and
+positive, refused before any instance is solved; `simulate` --runs below 1
+or a --policies k outside 0..budget; for the solve of `solve` and `simulate`,
+--beliefs or --max-iter below 1 or --tol <= 0; each message names the flag.
 
 Every file read or written opens with its version header line, checked on
 reading; '#' starts a comment.
@@ -83,7 +84,7 @@ def _policy_label(policy: str, k: int) -> str:
     return "none" if policy == "none" else f"{policy}_k{k}"
 
 
-def _parse_policies(text: str, default_k: int) -> list[tuple[str, int]]:
+def _parse_policies(text: str, budget: int) -> list[tuple[str, int]]:
     out = []
     for item in text.split(","):
         item = item.strip()
@@ -91,11 +92,13 @@ def _parse_policies(text: str, default_k: int) -> list[tuple[str, int]]:
             continue
         name, _, kpart = item.partition(":")
         if name not in PERCEPTION_POLICIES:
-            raise _ConfigError(f"unknown policy {name!r}")
-        k = int(kpart) if kpart else (0 if name == "none" else default_k)
+            raise _ConfigError(f"--policies: unknown policy {name!r}")
+        if kpart and not (kpart.isdigit() and int(kpart) <= budget):
+            raise _ConfigError(f"--policies: k in {item!r} must be an integer from 0 to the budget {budget}")
+        k = int(kpart) if kpart else (0 if name == "none" else budget)
         out.append((name, k))
     if not out:
-        raise _ConfigError("no policies requested")
+        raise _ConfigError("--policies: no policies requested")
     return out
 
 
@@ -138,6 +141,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.runs < 1:
+        raise _ConfigError("--runs must be at least 1")
     scenario = read_scenario_file(args.scenario)
     policies = _parse_policies(args.policies, scenario.budget)
     pomdp = build_pomdp(scenario)

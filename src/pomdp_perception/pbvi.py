@@ -12,12 +12,14 @@ diagonal-plus-uniform sensor each observation adds a rank-1 term to one
 shared score table.  A (point, observation) pair that reaches none of the
 departing entries scores the shared table alone, so only the pairs that
 reach one are scored: on the stock map a simplex corner reaches about 5 of
-the 64 cells.  `solve` iterates backups, on bare arrays, under the Perseus
-acceptance rule, a prune of the backed-up and current sets pooled, so point
-values never fall and the iteration converges.  Points are sampled once up
-front and never adapted: the auxiliary observation channels available at
-runtime are unknown when the plan is computed, so the sampler covers the
-whole simplex instead of chasing reachable beliefs.
+the 64 cells.  Of a point's actions, the lowest whose backed-up value is
+within 1e-12 of the best wins, so rounding never decides an action.
+`solve` iterates backups, on bare arrays, under the Perseus acceptance rule,
+a prune of the backed-up and current sets pooled, so point values never
+fall and the iteration converges.  Points are sampled once up front and
+never adapted: the auxiliary observation channels available at runtime are
+unknown when the plan is computed, so the sampler covers the whole simplex
+instead of chasing reachable beliefs.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .pomdp import (
     Belief,
     Pomdp,
     _check_stochastic,
+    _first_within_tol,
     _format_row,
     _frozen_array,
     _read_lines,
@@ -44,9 +47,7 @@ from .pomdp import (
 # tile of (observations, points, K) scores.  One pair of the stock map at 165
 # points (27k) fits, and so do all pairs of a select-bench model at once;
 # larger blocks ran no faster on the stock map and raised the solve's peak
-# memory.  The block width also fixes the order in which a point's winning
-# scores are summed (see `_best_responses`), so changing it can change the
-# last bits of a backup and with them a solve's exact ties.
+# memory.
 _BLOCK_ELEMENTS = 1 << 15
 
 __all__ = [
@@ -211,9 +212,10 @@ def backup(pomdp: Pomdp, previous: ValueFunction, points: BeliefPointSet) -> Val
     The operator is plain PBVI: per point b and action a, the vector
     R(., a) + discount * sum_w g[w, k_w], where
     g[w, k](s) = sum_s' T(s, a, s') O(s', a, w) alpha_k(s') and k_w is the
-    previous vector maximizing g[w, k] . b.  Each point keeps its best
-    action's vector, and the union over points is returned in first-point
-    order with each (action, winners k_w) emitted once.
+    previous vector maximizing g[w, k] . b.  Each point keeps the vector of
+    the lowest action whose value at b is within 1e-12 of the best, and the
+    union over points is returned in first-point order with each (action,
+    winners k_w) emitted once.
 
     No projection g[w, k] is ever built.  With N_a = discount * B T_a (B, S'),
     the score discount * g[w, k] . b is N_a (alpha_k * O(., a, w)), and the
@@ -239,11 +241,11 @@ def backup(pomdp: Pomdp, previous: ValueFunction, points: BeliefPointSet) -> Val
     Where every point reaches every state (a dense random model, such as a
     select-bench one), where one block holds all pairs, or where K = 1, all
     pairs are scored as before, in (action, observation) blocks as large as
-    _BLOCK_ELEMENTS allows.  Either way a point's winning scores are added
-    in the blocks' order, so both give the same bits.
+    _BLOCK_ELEMENTS allows.
 
-    Tie-breaking is deterministic throughout: the per-observation argmax keeps
-    the lowest vector index and the per-point action argmax the lowest action.
+    Ties are broken deterministically: the per-observation argmax keeps the
+    lowest vector index, and each point the lowest action within 1e-12 of
+    the best, so the block sizes, which order the sums, change no result.
     """
     return ValueFunction.from_arrays(*_backup(pomdp, previous.matrix, points.matrix))
 
@@ -252,7 +254,7 @@ def _backup(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarra
     """`backup` on bare arrays: previous vectors (K, S) and points (B, S) in,
     the backed-up (matrix, actions) out, unvalidated."""
     value_ba, winners = _best_responses(pomdp, prev, bmat)
-    best_a = np.argmax(value_ba, axis=1)
+    best_a = _first_within_tol(value_ba)
     first: dict[tuple[int, bytes], int] = {}
     for b, a in enumerate(best_a.tolist()):
         first.setdefault((a, winners[a, b].tobytes()), b)
@@ -269,14 +271,7 @@ def _backup(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarra
 
 def _best_responses(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per point and action, the backed-up value (B, A) and, per observation,
-    the index of the winning previous vector (A, B, W).
-
-    A point's value for an action adds its winning scores in groups of
-    `obs_step` consecutive observations, each group summed first: the order
-    the (action, observation) blocks impose, kept whichever pairs are scored,
-    since a change in the last bit can move an exact tie between actions and
-    with it the whole solve.
-    """
+    the index of the winning previous vector (A, B, W)."""
     num_actions = pomdp.num_actions
     num_obs = pomdp.num_observations
     num_points, num_states = bmat.shape
@@ -300,7 +295,7 @@ def _best_responses(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[n
                 _score_departing_pairs(
                     reach[i], shared[i], prev, rows[:, a], departures[:, a], winners[a], won[i]
                 )
-            _add_in_groups(value_ba[:, acts], won, obs_step)
+            value_ba[:, acts] += won.sum(axis=2).T
             continue
         ranks = np.arange(len(reach))[:, None]
         for w0 in range(0, num_obs, obs_step):
@@ -324,9 +319,9 @@ def _score_departing_pairs(reach, shared, prev, rows, departures, winners, won):
     departure terms can be nonzero takes the shared argmax; points that
     depart at every observation are scored in (observations, points, K)
     tiles, the other points' departing pairs one (pair, K) row each.  The
-    winning scores are then formed again for the winners alone: the products
-    summed over departing rows in row order, as `np.einsum` sums them, then
-    the shared term added, so they equal the tiles' scores bit for bit.
+    winning scores are then formed again for the winners alone, one way for
+    every pair, whichever kernel picked its winner: the products summed over
+    departing rows in row order, then the shared term added.
     """
     num_obs, num_vectors = rows.shape[1], len(prev)
     picked = reach[:, rows].transpose(1, 0, 2)                                # (m, B, W)
@@ -373,20 +368,6 @@ def _tile_shape(num_points: int, num_obs: int, num_vectors: int) -> tuple[int, i
     many points as fit with those."""
     obs_step = min(max(_BLOCK_ELEMENTS // (num_points * num_vectors), 1), num_obs)
     return max(_BLOCK_ELEMENTS // (obs_step * num_vectors), 1), obs_step
-
-
-def _add_in_groups(value: np.ndarray, won: np.ndarray, obs_step: int) -> None:
-    """value (B, a) += won (a, B, W) summed over observations, in the order
-    the all-pairs blocks add: each group of `obs_step` observations summed
-    alone, as an (a, group, B) array, then the groups added one by one."""
-    by_obs = np.ascontiguousarray(won.transpose(0, 2, 1))                     # (a, W, B)
-    num_actions, num_obs, num_points = by_obs.shape
-    whole = num_obs - num_obs % obs_step
-    groups = [by_obs[:, :whole].reshape(num_actions, -1, obs_step, num_points).sum(axis=2)]
-    if whole < num_obs:
-        groups.append(by_obs[:, whole:].sum(axis=1)[:, None])
-    running = np.concatenate([value.T[:, None]] + groups, axis=1)             # (a, 1 + groups, B)
-    value[:] = np.add.accumulate(running, axis=1)[:, -1].T
 
 
 def _winner_sums(pomdp: Pomdp, prev: np.ndarray, winners: np.ndarray, tags: np.ndarray) -> np.ndarray:

@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
+# Scores this close to the best tie; the lowest index wins, not rounding.
+_TIE_TOL = 1e-12
 
 __all__ = [
     "ROW_SUM_TOL",
@@ -66,6 +68,11 @@ def _check_stochastic(name: str, tensor: np.ndarray) -> None:
         deviation = np.abs(tensor.sum(axis=-1) - 1.0).max()
     if not deviation <= ROW_SUM_TOL:
         raise ValueError(f"{name}: rows must sum to 1 (worst deviation {deviation:.3e})")
+
+
+def _first_within_tol(values: np.ndarray) -> np.ndarray:
+    """Lowest index along the last axis within _TIE_TOL of its maximum."""
+    return np.argmax(values >= values.max(axis=-1, keepdims=True) - _TIE_TOL, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)

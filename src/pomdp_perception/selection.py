@@ -46,6 +46,8 @@ from .pomdp import (
     PerceptionAction,
     Pomdp,
     ZeroLikelihoodObservation,
+    _TIE_TOL,
+    _first_within_tol,
 )
 
 __all__ = [
@@ -75,9 +77,6 @@ GREEDY_GUARANTEE = 1.0 - math.exp(-0.5)
 _MI_CLAMP = 1e-12
 # Slack for the empirical inequality checks.
 _BOUND_SLACK = 1e-9
-# Greedy ratios and singleton entropies this close count as tied; the lowest
-# source index wins a tie.
-_TIE_TOL = 1e-12
 
 
 class JointAlphabetTooLarge(RuntimeError):
@@ -114,8 +113,7 @@ class SelectionProblem:
                 raise ValueError("action index out of range for a source")
         if not float(self.budget) > 0.0:
             raise ValueError("budget must be positive")
-        if not float(self.beta) > 0.0:
-            raise ValueError("beta must be positive")
+        _check_beta(float(self.beta), [src.cost for src in sources])
         object.__setattr__(self, "sources", sources)
         object.__setattr__(self, "action", int(self.action))
         object.__setattr__(self, "budget", float(self.budget))
@@ -124,6 +122,15 @@ class SelectionProblem:
     @property
     def num_sources(self) -> int:
         return len(self.sources)
+
+
+def _check_beta(beta: float, costs) -> None:
+    """Refuse a beta that is not positive or takes a cost to a power that is
+    not finite and positive: the greedy ratio divides by cost**beta."""
+    with np.errstate(over="ignore"):
+        scaled = np.asarray(costs, dtype=float) ** beta
+    if not (beta > 0.0 and np.all(np.isfinite(scaled) & (scaled > 0.0))):
+        raise ValueError(f"beta must be positive, with every cost**beta finite and positive, got {beta}")
 
 
 @dataclass(frozen=True)
@@ -206,11 +213,6 @@ def marginal_gain(problem: SelectionProblem, subset: PerceptionAction, source: i
         raise ValueError(f"source {source} is already selected")
     with_source = PerceptionAction((*subset, source))
     return mutual_information(problem, with_source) - mutual_information(problem, subset)
-
-
-def _first_within_tol(values: np.ndarray) -> int:
-    """Lowest index whose value is within _TIE_TOL of the maximum."""
-    return int(np.argmax(values >= values.max() - _TIE_TOL))
 
 
 def generalized_greedy(problem: SelectionProblem) -> SelectionOutcome:

@@ -392,14 +392,17 @@ def oracle_one_step_value(pomdp: Pomdp, b: Belief, prev_value_fn) -> float:
     return best
 
 
-def oracle_backup(pomdp: Pomdp, previous: np.ndarray, points: np.ndarray) -> list[tuple[int, np.ndarray]]:
+def oracle_backup(
+    pomdp: Pomdp, previous: np.ndarray, points: np.ndarray, tie_tol: float = 1e-12
+) -> list[tuple[int, np.ndarray]]:
     """The plain PBVI backup as a loop: per point, every action and
     observation's projection of every previous vector, the first maximum kept
-    at each step; then each (action, coefficients) once, in first-point order
+    per observation, and the lowest action whose value is within tie_tol of
+    the best; then each (action, coefficients) once, in first-point order
     (coefficients within 1e-9 count as one)."""
     emitted: list[tuple[int, np.ndarray]] = []
     for b in points:
-        best_value, best = -math.inf, None
+        candidates = []
         for a in range(pomdp.num_actions):
             coeffs = pomdp.reward[:, a].copy()
             for w in range(pomdp.num_observations):
@@ -408,8 +411,9 @@ def oracle_backup(pomdp: Pomdp, previous: np.ndarray, points: np.ndarray) -> lis
                     for alpha in previous
                 ]
                 coeffs += max(projected, key=lambda g: float(g @ b))
-            if float(coeffs @ b) > best_value:
-                best_value, best = float(coeffs @ b), (a, coeffs)
+            candidates.append((float(coeffs @ b), a, coeffs))
+        top = max(value for value, _, _ in candidates)
+        best = next((a, coeffs) for value, a, coeffs in candidates if value >= top - tie_tol)
         if not any(a == best[0] and np.allclose(c, best[1], rtol=0, atol=1e-9) for a, c in emitted):
             emitted.append(best)
     return emitted

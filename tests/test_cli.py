@@ -55,6 +55,9 @@ def test_select_bench_rejects_zero_instances(tmp_path):
         ("--max-sources", "1", "max_sources"),
         ("--max-states", "1", "max_states"),
         ("--max-symbols", "1", "max_symbols"),
+        ("--beta", "0", "beta"),
+        ("--beta", "nan", "beta"),
+        ("--beta", "inf", "beta"),
     ],
 )
 def test_select_bench_rejects_caps_out_of_range(tmp_path, capsys, flag, value, field):
@@ -174,16 +177,25 @@ def test_non_finite_scenario_and_model_files_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "simulate"])
+SOLVE_FLAGS_OUT_OF_RANGE = [
+    ("--tol", "0", "error: --tol must be positive"),
+    ("--max-iter", "0", "error: --max-iter must be at least 1"),
+    ("--beliefs", "0", "error: --beliefs must be at least 1"),
+]
+
+
 @pytest.mark.parametrize(
-    "flag, value, message",
-    [
-        ("--tol", "0", "error: --tol must be positive"),
-        ("--max-iter", "0", "error: --max-iter must be at least 1"),
-        ("--beliefs", "0", "error: --beliefs must be at least 1"),
+    "flag, value, message, command",
+    [(*case, command) for case in SOLVE_FLAGS_OUT_OF_RANGE for command in ("solve", "simulate")]
+    + [
+        ("--runs", "0", "error: --runs must be at least 1", "simulate"),
+        ("--policies", "greedy:x", "error: --policies: k in 'greedy:x' must be an integer from 0 to the budget 1", "simulate"),
+        ("--policies", "greedy:-1", "error: --policies: k in 'greedy:-1' must be an integer from 0 to the budget 1", "simulate"),
+        ("--policies", "greedy:2", "error: --policies: k in 'greedy:2' must be an integer from 0 to the budget 1", "simulate"),
+        ("--policies", "best:1", "error: --policies: unknown policy 'best'", "simulate"),
     ],
 )
-def test_solve_flags_out_of_range_exit_1_naming_the_flag(tmp_path, capsys, command, flag, value, message):
+def test_solve_flags_out_of_range_exit_1_naming_the_flag(tmp_path, capsys, flag, value, message, command):
     scenario = tiny_scenario_file(tmp_path)
     if command == "solve":
         argv = ["solve", "--scenario", scenario, "--out", str(tmp_path / "vf.txt")]
@@ -192,7 +204,7 @@ def test_solve_flags_out_of_range_exit_1_naming_the_flag(tmp_path, capsys, comma
     assert cli.main(argv + [flag, value]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.strip() == message
     assert not (tmp_path / "vf.txt").exists()
-    assert not (tmp_path / "sim" / "rewards_none.csv").exists()
+    assert not list((tmp_path / "sim").glob("*.csv"))
 
 
 def test_missing_input_files_exit_1_and_name_the_path(tmp_path, capsys):

@@ -469,6 +469,12 @@ def test_selection_problem_validation():
         SelectionProblem(belief=belief, action=0, sources=sources, budget=0.0)
     with pytest.raises(ValueError, match="beta"):
         SelectionProblem(belief=belief, action=0, sources=sources, budget=1.0, beta=0.0)
+    # cost**inf is 0 for a cost below 1, and 2.0**2000 overflows: either way
+    # the greedy ratio would divide by 0 or by inf.
+    mixed = (revealing_source(3, cost=0.5), revealing_source(3, cost=2.0))
+    for beta in (math.nan, math.inf, 2000.0):
+        with pytest.raises(ValueError, match="beta"):
+            SelectionProblem(belief=Belief.uniform(3), action=0, sources=mixed, budget=1.0, beta=beta)
     with pytest.raises(ValueError, match="action"):
         SelectionProblem(belief=belief, action=5, sources=sources, budget=1.0)
     with pytest.raises(ValueError, match="state dimension"):
