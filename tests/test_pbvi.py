@@ -556,6 +556,20 @@ def test_backup_is_bit_identical_whatever_the_tile_shape(model):
         assert np.array_equal(vf.actions, default.actions)
 
 
+@pytest.mark.parametrize("elements", [1 << 9, 1 << 13, 1 << 18])
+def test_stock_solve_from_the_lower_bound_ignores_the_block_size(elements):
+    # From the lower bound many points tie between actions to rounding, so a
+    # tie left to rounding would let the block size pick the action.
+    p = build_pomdp(default_scenario())
+    points = sample_beliefs_uniform(p.num_states, 100, seed=7)
+    default = solve(p, points, max_iter=4)
+    with mock.patch.object(pbvi, "_BLOCK_ELEMENTS", elements):
+        patched = solve(p, points, max_iter=4)
+    assert patched.iterations == default.iterations
+    assert np.array_equal(patched.value_function.matrix, default.value_function.matrix)
+    assert np.array_equal(patched.value_function.actions, default.value_function.actions)
+
+
 # ---------------------------------------------------------------------------
 # Prune
 # ---------------------------------------------------------------------------
