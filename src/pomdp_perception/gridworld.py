@@ -29,7 +29,7 @@ from .pomdp import (
     belief_update_auxiliary,
     belief_update_intrinsic,
 )
-from .selection import SelectionProblem, generalized_greedy
+from .selection import SelectionProblem, _greedy_picks
 
 __all__ = [
     "UP",
@@ -83,8 +83,8 @@ class UavSpec:
             raise InvalidScenario("fov_radius must be nonnegative")
         if not 0.0 < self.detection_accuracy <= 1.0:
             raise InvalidScenario("detection_accuracy must be in (0, 1]")
-        if not self.cost > 0.0:
-            raise InvalidScenario("uav cost must be positive")
+        if not (math.isfinite(self.cost) and self.cost > 0.0):
+            raise InvalidScenario(f"uav cost must be finite and positive, got {self.cost}")
         object.__setattr__(self, "waypoints", wps)
 
 
@@ -364,7 +364,7 @@ def _select_sources(
         problem = SelectionProblem(
             belief=belief, action=action, sources=tuple(sources), budget=float(k)
         )
-        return generalized_greedy(problem).selected
+        return _greedy_picks(problem)[0]
     raise ValueError(f"unknown perception policy {policy!r}")
 
 
@@ -386,7 +386,10 @@ def run_episode(
     reaching the goal (checked before acting) or at the horizon.  k is the
     per-step cost budget of the queried sources, for the random policy as
     for the greedy one.  Under `none`, or with k <= 0, the episode builds
-    and reads no UAV source.
+    and reads no UAV source.  The greedy policy takes only the picks of
+    `generalized_greedy`, not its utility, and each source's noise rows and
+    report running sums are computed once per source and shared by every
+    step and episode.
 
     Transitions, intrinsic observations, auxiliary reports, and the random
     policy draw from four independent streams spawned from `seed`, so the
@@ -435,7 +438,7 @@ def run_episode(
             sources = uav_sources_at(scenario, t) if wants_sources else []
             selected = _select_sources(policy, k, belief, action, sources, rng_select)
             symbols = tuple(
-                _sample_index(rng_aux, np.cumsum(sources[i].likelihood[next_state, action]))
+                _sample_index(rng_aux, sources[i].cumulative[next_state, action])
                 for i in selected
             )
             belief = belief_update_auxiliary(belief, action, selected, sources, symbols)

@@ -12,6 +12,7 @@ distinct nonnegative source indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -21,6 +22,7 @@ import numpy as np
 ROW_SUM_TOL = 1e-9
 # Scores this close to the best tie; the lowest index wins, not rounding.
 _TIE_TOL = 1e-12
+_SMALLEST_POSITIVE = np.nextafter(0.0, 1.0)
 
 __all__ = [
     "ROW_SUM_TOL",
@@ -70,9 +72,22 @@ def _check_stochastic(name: str, tensor: np.ndarray) -> None:
         raise ValueError(f"{name}: rows must sum to 1 (worst deviation {deviation:.3e})")
 
 
+def _xlogx(arr: np.ndarray) -> np.ndarray:
+    """x log x elementwise for x >= 0, with 0 log 0 = 0.
+
+    A zero entry takes the log of the smallest positive float, which is
+    finite, so its term is -0.0 and no masked log is needed.  A sum over
+    probabilities that holds some positive one comes out as with +0.0 terms.
+    """
+    out = np.maximum(arr, _SMALLEST_POSITIVE)
+    np.log(out, out=out)
+    out *= arr
+    return out
+
+
 def _first_within_tol(values: np.ndarray) -> np.ndarray:
     """Lowest index along the last axis within _TIE_TOL of its maximum."""
-    return np.argmax(values >= values.max(axis=-1, keepdims=True) - _TIE_TOL, axis=-1)
+    return (values >= values.max(axis=-1, keepdims=True) - _TIE_TOL).argmax(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +206,9 @@ class InfoSource:
 
     likelihood[s, a, y] is the probability the source reports symbol y when
     the agent sits in state s after action a; symbols live in the source's own
-    private alphabet.  cost is the scalar price of querying the source once.
+    private alphabet.  cost is the scalar price of querying the source once,
+    finite and positive.  The likelihood is stored read-only; when no action
+    changes its rows, one set is stored and shown to every action.
     """
 
     likelihood: np.ndarray
@@ -202,14 +219,48 @@ class InfoSource:
         if lik.ndim != 3:
             raise ValueError("likelihood must have shape (S, A, alphabet)")
         _check_stochastic("likelihood", lik)
-        if not float(self.cost) > 0.0:
-            raise ValueError("cost must be positive")
+        # No action changes the rows (as for every UAV): one set is kept and
+        # shown to every action, here and in the tables built below.  The
+        # one-entry test spares most other sources the whole comparison.
+        if lik[0, 0, 0] == lik[0, -1, 0] and (lik == lik[:, :1]).all():
+            lik = np.broadcast_to(lik[:, :1].copy(), lik.shape)
+        cost = float(self.cost)
+        if not (math.isfinite(cost) and cost > 0.0):
+            raise ValueError(f"source cost must be finite and positive, got {cost}")
         object.__setattr__(self, "likelihood", lik)
-        object.__setattr__(self, "cost", float(self.cost))
+        object.__setattr__(self, "cost", cost)
 
     @property
     def num_symbols(self) -> int:
         return self.likelihood.shape[2]
+
+    @property
+    def _distinct_rows(self) -> np.ndarray:
+        """The likelihood, cut to its one stored action when every action
+        shows the same rows."""
+        lik = self.likelihood
+        return lik[:, :1] if lik.strides[1] == 0 else lik
+
+    @cached_property
+    def noise_rows(self) -> np.ndarray:
+        """sum_y L(s, a, y) log L(s, a, y) as an (A, S) array, 0 log 0 = 0.
+
+        Row a dotted with a belief is -H(Y | S) under action a.  Each entry
+        adds its symbols' terms one by one in symbol order.  Built on first
+        use; read-only.
+        """
+        terms = _xlogx(self._distinct_rows)
+        rows = terms[:, :, 0].T.copy()
+        for y in range(1, self.num_symbols):
+            rows += terms[:, :, y].T
+        return np.broadcast_to(rows, self.likelihood.shape[1::-1])
+
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """Running sums of the likelihood rows L(s, a, .), each row summed as
+        `np.cumsum` sums it alone; built on first use for drawing reports
+        with one `searchsorted`.  Read-only."""
+        return np.broadcast_to(np.cumsum(self._distinct_rows, axis=2), self.likelihood.shape)
 
 
 class PerceptionAction(tuple):

@@ -20,10 +20,15 @@ added.  It scores by the conditional-independence identity
 I(S; Y_U) = H(Y_U) - sum_{j in U} H(Y_j | S) (Krause & Guestrin, UAI 2005):
 it keeps the chosen set's joint table p(outcome, state) over the reachable
 outcomes only, extends it by one source per pick, and scores each round's
-candidates in one vectorized pass that takes logs over the report marginal
-p(outcome, report) only, never over (outcome x state) tables.  Ratios (and
-singleton utilities) within 1e-12 of the best count as tied, and ties go to
-the lowest source index, so rounding never decides an exact tie.
+candidates with one product of that table and the sources' likelihoods side
+by side, taking logs over the report marginal p(outcome, report) only, never
+over (outcome x state) tables.  Each source's noise rows sum_y L log L, which
+give H(Y_j | S) under any belief, are computed once per source
+(`InfoSource.noise_rows`), not once per call.  Ratios (and singleton
+utilities) within 1e-12 of the best count as tied, and ties go to the lowest
+source index, so rounding never decides an exact tie.  The episode loop takes
+only the picks; the utility `generalized_greedy` reports is still
+`mutual_information` of the picked set.
 
 All entropies are in nats.  `conditional_entropy`, the exhaustive search and
 the bound checks enumerate (outcome x state) tables over the joint outcome
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, compress
 
 import numpy as np
 
@@ -48,6 +53,7 @@ from .pomdp import (
     ZeroLikelihoodObservation,
     _TIE_TOL,
     _first_within_tol,
+    _xlogx,
 )
 
 __all__ = [
@@ -140,12 +146,6 @@ class SelectionOutcome:
     total_cost: float
 
 
-def _xlogx(arr: np.ndarray) -> np.ndarray:
-    out = np.log(arr, out=np.zeros_like(arr), where=arr > 0.0)
-    out *= arr
-    return out
-
-
 def entropy(belief: Belief) -> float:
     """Shannon entropy in nats, with 0 log 0 = 0."""
     return float(-_xlogx(belief.probs).sum())
@@ -230,65 +230,73 @@ def generalized_greedy(problem: SelectionProblem) -> SelectionOutcome:
 
     Candidates are scored by the conditional-independence identity: for the
     chosen set C and a candidate j, I(S; Y_C, Y_j) = H(Y_C, Y_j) -
-    sum_{i in C + j} H(Y_i | S).  Each source's noise term H(Y_i | S) under
-    the belief is computed once per call; each round takes logs only over
-    the report marginal p(outcome of C, report of j), never over the joint
-    (outcome x state) table.  The chosen set's joint table p(outcome, state)
-    keeps only outcomes of positive probability and grows by one source per
-    pick; each round scores all candidates at once, each alphabet padded to
-    the widest with reports of zero probability.  Every scored subset's full
-    joint alphabet must stay within `DEFAULT_JOINT_CAP`.  Ratios within
-    1e-12 of the best go to the lowest source index, the constructed subset
-    wins a tie with the best singleton, and the lowest index wins a tie
-    between singletons.  The reported utility is `mutual_information` of
-    the picked set.
+    sum_{i in C + j} H(Y_i | S).  Each source's noise term H(Y_i | S) is one
+    dot product of the belief with the source's cached `noise_rows`, which
+    are computed once per source, not per call.  Each round takes logs only
+    over the report marginal p(outcome of C, report of j), never over the
+    joint (outcome x state) table: the chosen set's joint table
+    p(outcome, state), which keeps only outcomes of positive probability and
+    grows by one source per pick, is multiplied once per round with all the
+    sources' likelihoods laid side by side, and each source's terms are
+    summed over its own columns; sources outside the pool are scored but
+    never picked.  Every scored subset's full joint alphabet must stay
+    within `DEFAULT_JOINT_CAP`.  Ratios within 1e-12 of the best go to the
+    lowest source index, the constructed subset wins a tie with the best
+    singleton, and the lowest index wins a tie between singletons.  The
+    reported utility is `mutual_information` of the picked set; the episode
+    loop runs the same selection without it, since it reads only the picks.
     """
-    sources = problem.sources
-    num_states = problem.belief.num_states
-    costs = [src.cost for src in sources]
-    sizes = [src.num_symbols for src in sources]
-    scaled_costs = np.array(costs) ** problem.beta
-    # likelihoods[j, y, s] = p(source j reports y | state s); zero-padded.
-    likelihoods = np.zeros((len(sources), max(sizes, default=0), num_states))
-    for j, src in enumerate(sources):
-        likelihoods[j, : sizes[j]] = src.likelihood[:, problem.action, :].T
-    # noise[j] = -H(Y_j | S) = sum_s b(s) sum_y L log L.
-    noise = _xlogx(likelihoods).sum(axis=1) @ problem.belief.probs
+    picked, picked_cost = _greedy_picks(problem)
+    return SelectionOutcome(picked, mutual_information(problem, picked), picked_cost)
 
-    affordable = [j for j in range(len(sources)) if costs[j] <= problem.budget]
-    pool = affordable
+
+def _greedy_picks(problem: SelectionProblem) -> tuple[PerceptionAction, float]:
+    """The selection and summed cost of `generalized_greedy`, without its
+    utility."""
+    sources = problem.sources
+    costs = np.array([src.cost for src in sources])
+    affordable = costs <= problem.budget
+    if not affordable.any():
+        return PerceptionAction(), 0.0
+    probs = problem.belief.probs
+    action = problem.action
+    sizes = [src.num_symbols for src in sources]
+    scaled_costs = costs**problem.beta
+    # noise[j] = -H(Y_j | S) under the belief.
+    noise = np.array([src.noise_rows[action] for src in sources]) @ probs
+    # stacked[s, starts[j] + y] = p(source j reports y | state s).
+    stacked = np.concatenate([src.likelihood[:, action, :] for src in sources], axis=1)
+    starts = [0, *accumulate(sizes[:-1])]
+
+    live = affordable.copy()                   # the candidates left in the pool
     chosen: list[int] = []
     chosen_cost = 0.0
-    table = problem.belief.probs[None, :]       # p(outcome, state) of `chosen`
+    table = probs[None, :]                     # p(outcome, state) of `chosen`
     noise_chosen = 0.0
     mi_chosen = 0.0
-    mi_singles = np.empty(0)
-    while pool:
-        _check_alphabet([sizes[j] for j in chosen] + [max(sizes[j] for j in pool)])
-        reports = table @ likelihoods[pool].transpose(0, 2, 1)
-        mi = noise_chosen + noise[pool] - _xlogx(reports).sum(axis=(1, 2))
+    while True:
+        _check_alphabet([sizes[j] for j in chosen] + [max(compress(sizes, live))])
+        terms = _xlogx(table @ stacked).sum(axis=0)
+        mi = noise_chosen + noise - np.add.reduceat(terms, starts)
         if not chosen:
-            mi_singles = mi
-        slot = _first_within_tol((mi - mi_chosen) / scaled_costs[pool])
-        j_star = pool[slot]
-        chosen.append(j_star)
-        chosen_cost += costs[j_star]
-        noise_chosen += noise[j_star]
-        mi_chosen = float(mi[slot])
-        extended = (table[:, None, :] * likelihoods[j_star]).reshape(-1, num_states)
+            singles = np.where(affordable, mi, -np.inf)
+        best = int(_first_within_tol(np.where(live, (mi - mi_chosen) / scaled_costs, -np.inf)))
+        chosen.append(best)
+        chosen_cost += sources[best].cost
+        noise_chosen += noise[best]
+        mi_chosen = float(mi[best])
+        live[best] = False
+        live &= chosen_cost + costs <= problem.budget
+        if not live.any():
+            break
+        extended = table[:, None, :] * sources[best].likelihood[:, action, :].T
+        extended = extended.reshape(-1, probs.size)
         table = extended[extended.any(axis=1)]
-        pool = [j for j in pool if j != j_star and chosen_cost + costs[j] <= problem.budget]
 
-    if not affordable:
-        return SelectionOutcome(PerceptionAction(), 0.0, 0.0)
-    best_single = affordable[_first_within_tol(mi_singles)]
-    if mi_chosen >= mi_singles.max() - _TIE_TOL:
-        picked = PerceptionAction(chosen)
-        picked_cost = chosen_cost
-    else:
-        picked = PerceptionAction((best_single,))
-        picked_cost = costs[best_single]
-    return SelectionOutcome(picked, mutual_information(problem, picked), picked_cost)
+    if mi_chosen >= singles.max() - _TIE_TOL:
+        return PerceptionAction(chosen), chosen_cost
+    best_single = int(_first_within_tol(singles))
+    return PerceptionAction((best_single,)), sources[best_single].cost
 
 
 def brute_force_optimal(problem: SelectionProblem) -> SelectionOutcome:

@@ -45,6 +45,23 @@ def random_sources(rng, num_states, num_actions, count, max_symbols=3) -> tuple[
     return tuple(out)
 
 
+def random_sparse_sources(rng, num_states, num_actions, count) -> tuple[InfoSource, ...]:
+    """Sources of 1 to 5 symbols whose rows differ by action and hold exact
+    zeros; every third one shows its first action's rows for every action."""
+    out = []
+    for index in range(count):
+        m = int(rng.integers(1, 6))
+        rows = rng.dirichlet(np.ones(m), size=(num_states, num_actions))
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        empty = rows.sum(axis=2) == 0.0
+        rows[empty, rng.integers(m, size=int(empty.sum()))] = 1.0
+        if index % 3 == 2:
+            rows[:] = rows[:, :1]
+        likelihood = rows / rows.sum(axis=2, keepdims=True)
+        out.append(InfoSource(likelihood=likelihood, cost=float(rng.uniform(0.2, 1.5))))
+    return tuple(out)
+
+
 def select_bench_problem(base_seed, index, config=bench.BenchConfig()):
     """The selection problem of select-bench instance (base_seed, index),
     drawn in evaluate_instance's order."""
@@ -124,16 +141,32 @@ def _plain_entropy(p) -> float:
 
 def oracle_conditional_entropy(belief: np.ndarray, slices: list[np.ndarray]) -> float:
     """Average posterior entropy over every joint outcome, weighted by its
-    probability."""
+    probability.
+
+    Outcomes are walked source by source in lexicographic order, each
+    state's likelihood product built left to right as `math.prod` builds it;
+    a state leaves a partial outcome at its first likelihood of 0, and a
+    partial outcome that every state has left is not extended: all of its
+    outcomes have probability 0 and would be skipped.
+    """
+    rows = [sl.tolist() for sl in slices]
     total = 0.0
-    for symbols in product(*(range(sl.shape[1]) for sl in slices)):
-        unnorm = np.array(
-            [belief[s] * math.prod(sl[s, y] for sl, y in zip(slices, symbols))
-             for s in range(belief.size)]
-        )
-        weight = unnorm.sum()
-        if weight > 0.0:
-            total += weight * _plain_entropy(unnorm / weight)
+
+    def walk(depth: int, prods: dict[int, float]) -> None:
+        nonlocal total
+        if depth == len(rows):
+            unnorm = np.array([belief[s] * prods.get(s, 0.0) for s in range(belief.size)])
+            weight = unnorm.sum()
+            if weight > 0.0:
+                total += weight * _plain_entropy(unnorm / weight)
+            return
+        row = rows[depth]
+        for y in range(len(row[0])):
+            extended = {s: p * row[s][y] for s, p in prods.items() if row[s][y] != 0.0}
+            if extended:
+                walk(depth + 1, extended)
+
+    walk(0, dict.fromkeys(range(belief.size), 1.0))
     return total
 
 
@@ -242,14 +275,20 @@ def oracle_greedy(
     answer is the built set or the best affordable singleton, whichever
     leaves the lower conditional entropy; the built set wins a tie, and the
     lowest index wins a tie between singletons.  States outside the belief's
-    support carry no weight, so they are left out before enumerating.
+    support carry no weight, so they are left out before enumerating.  Each
+    subset's conditional entropy is enumerated once and remembered, since a
+    round that adds nothing rescores the same subsets.
     """
     support = [s for s in range(belief.size) if belief[s] > 0.0]
     prior = np.array([belief[s] for s in support])
     columns = [np.array([sl[s] for s in support]) for sl in slices]
+    known: dict[tuple[int, ...], float] = {}
 
     def h(subset):
-        return oracle_conditional_entropy(prior, [columns[i] for i in subset])
+        key = tuple(subset)
+        if key not in known:
+            known[key] = oracle_conditional_entropy(prior, [columns[i] for i in key])
+        return known[key]
 
     pool = list(range(len(slices)))
     chosen: list[int] = []

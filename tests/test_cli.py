@@ -177,6 +177,24 @@ def test_non_finite_scenario_and_model_files_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_rejects_a_non_finite_uav_cost_before_solving(tmp_path, capsys, monkeypatch):
+    scenario = tiny_scenario_file(tmp_path)
+    with open(scenario, encoding="utf-8") as fh:
+        text = fh.read()
+    assert "uav_cost 1.0\n" in text
+    inf_scenario = tmp_path / "inf_cost.txt"
+    inf_scenario.write_text(text.replace("uav_cost 1.0\n", "uav_cost inf\n"))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("simulate solved before checking the scenario")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    simulate = ["simulate", "--scenario", str(inf_scenario), "--policies", "greedy:1", "--runs", "1"]
+    assert cli.main(simulate + ["--out-dir", str(tmp_path / "sim")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == "error: uav cost must be finite and positive, got inf"
+    assert not list((tmp_path / "sim").glob("*.csv"))
+
+
 SOLVE_FLAGS_OUT_OF_RANGE = [
     ("--tol", "0", "error: --tol must be positive"),
     ("--max-iter", "0", "error: --max-iter must be at least 1"),

@@ -22,6 +22,7 @@ from pomdp_perception import (
     conditional_entropy,
     default_scenario,
     entropy,
+    generalized_greedy,
     initialize_value,
     monte_carlo,
     mutual_information,
@@ -33,7 +34,12 @@ from pomdp_perception import (
     write_scenario_file,
 )
 from pomdp_perception.gridworld import DOWN, LEFT, RIGHT, STOP, UP
-from helpers import mdp_value_iteration, oracle_grid_transition, oracle_uav_likelihood
+from helpers import (
+    mdp_value_iteration,
+    oracle_greedy,
+    oracle_grid_transition,
+    oracle_uav_likelihood,
+)
 
 
 def tiny_scenario(**overrides) -> Scenario:
@@ -75,6 +81,12 @@ def lcm12_scenario() -> Scenario:
 def test_scenario_rejects_goal_on_obstacle():
     with pytest.raises(InvalidScenario, match="goal"):
         tiny_scenario(goal_cell=4)
+
+
+def test_uav_cost_must_be_finite_and_positive():
+    for cost in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidScenario, match="uav cost must be finite and positive"):
+            UavSpec(waypoints=(0,), cost=cost)
 
 
 def test_scenario_rejects_out_of_bounds():
@@ -544,6 +556,33 @@ def test_stock_map_episodes_are_pinned(stock_qmdp, policy):
     assert (digest, rewards) == PINNED_STOCK_EPISODES[policy]
 
 
+def test_pinned_greedy_episodes_pick_what_greedy_and_the_oracle_pick(stock_qmdp, monkeypatch):
+    # Every selection problem the pinned greedy episodes build, with the pick
+    # the episode took at that step.
+    scenario, pomdp, vf = stock_qmdp
+    calls = []
+    picks = gridworld._greedy_picks
+
+    def recording(problem):
+        picked, cost = picks(problem)
+        calls.append((problem, picked))
+        return picked, cost
+
+    monkeypatch.setattr(gridworld, "_greedy_picks", recording)
+    result = monte_carlo(pomdp, vf, scenario, "greedy", 2, n_runs=5, base_seed=0)
+    assert [picked for _, picked in calls] == [s.selected for e in result.episodes for s in e.steps]
+    for problem, picked in calls:
+        assert generalized_greedy(problem).selected == picked
+        expected = oracle_greedy(
+            problem.belief.probs,
+            [src.likelihood[:, problem.action, :] for src in problem.sources],
+            [src.cost for src in problem.sources],
+            problem.budget,
+            problem.beta,
+        )
+        assert expected == picked
+
+
 class _Uniforms:
     """Stands in for a Generator: random() returns the given values in turn."""
 
@@ -565,6 +604,25 @@ def test_cached_cumulative_draws_equal_cumsum_draws(stock_qmdp):
             rng = _Uniforms(uniforms[:10])
             draws = [gridworld._sample_index(rng, cached[s, a]) for _ in range(10)]
             assert draws == expected[:10].tolist()
+
+
+def test_cached_source_cumulative_draws_equal_cumsum_draws(stock_qmdp):
+    # Every (s, a) row of each of the stock map's 48 UAV sources, at 1,000
+    # uniforms including both ends of [0, 1).
+    scenario = stock_qmdp[0]
+    sources = [src for per_uav in scenario.patrol_sources for src in per_uav]
+    assert len(sources) == 48
+    uniforms = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], np.random.default_rng(9).random(998)])
+    for src in sources:
+        assert not src.cumulative.flags.writeable
+        for s, a in np.ndindex(src.likelihood.shape[:2]):
+            row, cached = src.likelihood[s, a], src.cumulative[s, a]
+            expected = np.minimum(np.searchsorted(np.cumsum(row), uniforms, side="right"), row.size - 1)
+            drawn = np.minimum(np.searchsorted(cached, uniforms, side="right"), row.size - 1)
+            assert np.array_equal(drawn, expected)
+            rng = _Uniforms(uniforms[:3])
+            draws = [gridworld._sample_index(rng, cached) for _ in range(3)]
+            assert draws == expected[:3].tolist()
 
 
 def test_blind_and_zero_budget_episodes_build_no_source(stock_qmdp, monkeypatch):

@@ -25,6 +25,7 @@ from helpers import (
     random_belief,
     random_pomdp,
     random_sources,
+    random_sparse_sources,
 )
 
 
@@ -121,12 +122,36 @@ def test_one_row_check_gives_the_verdict_and_message_of_the_general_check(vector
 def test_info_source_validation():
     rng = np.random.default_rng(0)
     lik = rng.dirichlet(np.ones(3), size=(4, 2))
-    with pytest.raises(ValueError, match="cost"):
-        InfoSource(likelihood=lik, cost=0.0)
+    for cost in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="source cost must be finite and positive"):
+            InfoSource(likelihood=lik, cost=cost)
     bad = np.array(lik)
     bad[0, 0, :] = 0.2
     with pytest.raises(ValueError, match="likelihood"):
         InfoSource(likelihood=bad, cost=1.0)
+
+
+def test_a_source_that_no_action_changes_stores_one_row_set():
+    rng = np.random.default_rng(36)
+    lik = np.repeat(rng.dirichlet(np.ones(3), size=(4, 1)), 5, axis=1)
+    src = InfoSource(likelihood=lik, cost=1.0)
+    assert np.array_equal(src.likelihood, lik)
+    assert not src.likelihood.flags.writeable
+    assert src.likelihood.strides[1] == src.cumulative.strides[1] == src.noise_rows.strides[0] == 0
+    lik[0, 1] = [1.0, 0.0, 0.0]
+    src = InfoSource(likelihood=lik, cost=1.0)
+    assert np.array_equal(src.likelihood, lik)
+    assert src.likelihood.strides[1] != 0
+
+
+def test_source_running_sums_are_read_only_and_equal_cumsum():
+    rng = np.random.default_rng(35)
+    for src in random_sparse_sources(rng, num_states=5, num_actions=3, count=30):
+        sums = src.cumulative
+        assert not sums.flags.writeable
+        assert src.cumulative is sums
+        for s, a in np.ndindex(5, 3):
+            assert sums[s, a].tobytes() == np.cumsum(src.likelihood[s, a]).tobytes()
 
 
 def test_non_finite_inputs_are_rejected():

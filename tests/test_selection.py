@@ -42,6 +42,7 @@ from helpers import (
     random_belief,
     random_pomdp,
     random_sources,
+    random_sparse_sources,
     select_bench_problem,
 )
 
@@ -337,6 +338,45 @@ def test_greedy_matches_plain_loop_oracle_on_the_stock_map():
                 belief=Belief(probs), action=int(rng.integers(5)), sources=sources, budget=2.0
             )
             greedy_agrees_with_oracle(problem)
+
+
+def test_noise_rows_are_read_only_and_equal_a_plain_loop():
+    # Rows that differ by action, alphabets of 1 to 5 symbols, exact zeros,
+    # and sources that show one row set to every action.
+    rng = np.random.default_rng(33)
+    for src in random_sparse_sources(rng, num_states=5, num_actions=3, count=30):
+        rows = src.noise_rows
+        assert rows.shape == (3, 5)
+        assert not rows.flags.writeable
+        assert src.noise_rows is rows
+        expected = np.empty((3, 5))
+        for a in range(3):
+            for s in range(5):
+                total = 0.0
+                for p in src.likelihood[s, a]:
+                    total += float(p * np.log(p)) if p > 0.0 else 0.0
+                expected[a, s] = total
+        assert rows.tobytes() == expected.tobytes()
+
+
+def test_greedy_reusing_one_source_set_across_actions_and_beliefs_matches_the_oracle():
+    # The same source objects, their noise rows cached by the first problem,
+    # serve problems under every action and many beliefs.
+    rng = np.random.default_rng(34)
+    sources = random_sparse_sources(rng, num_states=4, num_actions=3, count=6)
+    for _ in range(60):
+        probs = rng.dirichlet(np.ones(4))
+        probs[rng.random(4) < 0.25] = 0.0
+        if probs.sum() == 0.0:
+            probs[int(rng.integers(4))] = 1.0
+        problem = SelectionProblem(
+            belief=Belief(probs / probs.sum()),
+            action=int(rng.integers(3)),
+            sources=sources,
+            budget=float(rng.uniform(0.3, 3.0)),
+            beta=float(rng.choice([0.5, 1.0, 2.0])),
+        )
+        greedy_agrees_with_oracle(problem)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
