@@ -44,6 +44,7 @@ from .selection import (
     JointAlphabetTooLarge,
     SelectionOutcome,
     SelectionProblem,
+    SourceSet,
     TooManySources,
     brute_force_optimal,
     check_distance_bound,

@@ -29,7 +29,7 @@ from .pomdp import (
     belief_update_auxiliary,
     belief_update_intrinsic,
 )
-from .selection import SelectionProblem, _greedy_picks
+from .selection import SelectionProblem, SourceSet, _greedy_picks
 
 __all__ = [
     "UP",
@@ -156,6 +156,17 @@ class Scenario:
             tuple(_uav_source(self, uav, center) for center in uav.waypoints) for uav in self.uavs
         )
 
+    @cached_property
+    def _patrol_period(self) -> int:
+        """Steps after which every UAV is back at its first waypoint."""
+        return math.lcm(*(len(uav.waypoints) for uav in self.uavs))
+
+    @cached_property
+    def _step_sources(self) -> dict[int, SourceSet]:
+        """The source set of each patrol phase (t mod `_patrol_period`) that
+        `uav_sources_at` has built so far."""
+        return {}
+
 
 def default_scenario() -> Scenario:
     """The stock 8x8 layout: diagonal start/goal, scattered obstacles, and 12
@@ -272,7 +283,7 @@ def _uav_source(scenario: Scenario, uav: UavSpec, center: int) -> InfoSource:
     )
 
 
-def uav_sources_at(scenario: Scenario, t: int) -> list[InfoSource]:
+def uav_sources_at(scenario: Scenario, t: int) -> SourceSet:
     """Information sources offered by the UAVs at step t, in UAV order.
 
     Each UAV sits at waypoint (t mod path length).  Its alphabet is the cells
@@ -281,11 +292,19 @@ def uav_sources_at(scenario: Scenario, t: int) -> list[InfoSource]:
     detection_accuracy, the rest spread uniformly over the other FOV cells and
     "not seen"; a robot outside the FOV yields "not seen" with certainty.
 
-    Each UAV's source at each waypoint is built once per scenario, on the
-    first call, and the same read-only source is returned at every step that
-    visits that waypoint; the list itself is new on every call.
+    Each UAV's source at each waypoint is built once per scenario, on first
+    use.  The step's `SourceSet` is built once per patrol phase, on the first
+    call at that phase, and kept with the scenario, which is frozen: every
+    step and episode at that phase gets the same set, and with it the tables
+    greedy selection builds from it once.
     """
-    return [per_uav[t % len(per_uav)] for per_uav in scenario.patrol_sources]
+    phase = t % scenario._patrol_period
+    sources = scenario._step_sources.get(phase)
+    if sources is None:
+        sources = scenario._step_sources[phase] = SourceSet(
+            per_uav[phase % len(per_uav)] for per_uav in scenario.patrol_sources
+        )
+    return sources
 
 
 @dataclass(frozen=True)
@@ -361,9 +380,7 @@ def _select_sources(
             kept.append(affordable[int(pick)])
         return PerceptionAction(kept)
     if policy == "greedy":
-        problem = SelectionProblem(
-            belief=belief, action=action, sources=tuple(sources), budget=float(k)
-        )
+        problem = SelectionProblem(belief=belief, action=action, sources=sources, budget=float(k))
         return _greedy_picks(problem)[0]
     raise ValueError(f"unknown perception policy {policy!r}")
 
@@ -387,9 +404,9 @@ def run_episode(
     per-step cost budget of the queried sources, for the random policy as
     for the greedy one.  Under `none`, or with k <= 0, the episode builds
     and reads no UAV source.  The greedy policy takes only the picks of
-    `generalized_greedy`, not its utility, and each source's noise rows and
-    report running sums are computed once per source and shared by every
-    step and episode.
+    `generalized_greedy`, not its utility.  The step source sets, with the
+    tables greedy reads, and each source's report running sums are built
+    once per scenario and shared by every step and episode.
 
     Transitions, intrinsic observations, auxiliary reports, and the random
     policy draw from four independent streams spawned from `seed`, so the

@@ -22,13 +22,24 @@ it keeps the chosen set's joint table p(outcome, state) over the reachable
 outcomes only, extends it by one source per pick, and scores each round's
 candidates with one product of that table and the sources' likelihoods side
 by side, taking logs over the report marginal p(outcome, report) only, never
-over (outcome x state) tables.  Each source's noise rows sum_y L log L, which
-give H(Y_j | S) under any belief, are computed once per source
-(`InfoSource.noise_rows`), not once per call.  Ratios (and singleton
-utilities) within 1e-12 of the best count as tied, and ties go to the lowest
-source index, so rounding never decides an exact tie.  The episode loop takes
-only the picks; the utility `generalized_greedy` reports is still
-`mutual_information` of the picked set.
+over (outcome x state) tables.  Ratios (and singleton utilities) within
+1e-12 of the best count as tied, and ties go to the lowest source index, so
+rounding never decides an exact tie.  The episode loop takes only the picks;
+the utility `generalized_greedy` reports is still `mutual_information` of the
+picked set.
+
+The sources of a problem form a `SourceSet`, a checked tuple that builds the
+tables greedy reads once, on first use, and keeps them: the costs, the
+likelihoods side by side and each source's noise rows sum_y L log L (which
+give H(Y_j | S) under any belief) per action, and the costs scaled by the
+last beta accepted.  `SelectionProblem` wraps a plain tuple in a new set; a
+caller that passes one set to many problems, as the grid world does at every
+step of a patrol phase, builds those tables once.
+
+The exhaustive search walks the affordable subsets depth first, in
+lexicographic order: each subset's table is its prefix's times one more
+likelihood, and a subset over the budget is not extended, since costs are
+positive.
 
 All entropies are in nats.  `conditional_entropy`, the exhaustive search and
 the bound checks enumerate (outcome x state) tables over the joint outcome
@@ -40,7 +51,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, combinations, compress
+from functools import cached_property
+from itertools import accumulate, compress
+from typing import Iterable
 
 import numpy as np
 
@@ -53,6 +66,7 @@ from .pomdp import (
     ZeroLikelihoodObservation,
     _TIE_TOL,
     _first_within_tol,
+    _frozen_array,
     _xlogx,
 )
 
@@ -62,6 +76,7 @@ __all__ = [
     "GREEDY_GUARANTEE",
     "JointAlphabetTooLarge",
     "TooManySources",
+    "SourceSet",
     "SelectionProblem",
     "SelectionOutcome",
     "BoundReport",
@@ -93,35 +108,113 @@ class TooManySources(ValueError):
     """Exhaustive enumeration refused; the subset lattice is too large."""
 
 
+class SourceSet(tuple):
+    """Checked, immutable tuple of the information sources offered together.
+
+    Its sources share one state count and one action count, checked once on
+    construction; the set may be empty.  It equals the plain tuple of the
+    same sources.  The tables greedy selection reads are built on first use
+    and kept, read-only: the costs, alphabet sizes and column starts, per
+    action the likelihoods side by side and the noise rows, and the costs
+    scaled by the last beta accepted.  When no action changes any source's
+    rows (as for every UAV), one table set serves every action.
+    """
+
+    def __new__(cls, sources: Iterable[InfoSource] = ()) -> SourceSet:
+        self = super().__new__(cls, sources)
+        shapes = {src.likelihood.shape[:2] for src in self}
+        if len({num_states for num_states, _ in shapes}) > 1:
+            raise ValueError("source state dimensions differ between sources")
+        if len(shapes) > 1:
+            raise ValueError("source action counts differ between sources")
+        # (num_states, num_actions), or None for an empty set.
+        self.shape = shapes.pop() if shapes else None
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._scaled: tuple[float, np.ndarray] | None = None
+        return self
+
+    @cached_property
+    def costs(self) -> np.ndarray:
+        """Each source's cost, read-only."""
+        return _frozen_array([src.cost for src in self])
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        """Each source's alphabet size."""
+        return tuple(src.num_symbols for src in self)
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Each source's first column in `tables`' likelihoods, read-only."""
+        return _frozen_array([0, *accumulate(self.sizes[:-1])], dtype=np.intp)
+
+    @cached_property
+    def _action_free(self) -> bool:
+        """No action changes any source's rows: each stores one row set."""
+        return all(src.likelihood.strides[1] == 0 for src in self)
+
+    def tables(self, action: int) -> tuple[np.ndarray, np.ndarray]:
+        """For `action`, the likelihoods side by side and the noise rows.
+
+        The first is (S, sum of the alphabet sizes), source j's columns
+        starting at `starts[j]`; the second is (J, S), row j being source j's
+        sum_y L log L, which dotted with a belief gives -H(Y_j | S).  Built
+        on first use per action, or once for every action of an action-free
+        set; read-only.  The set must not be empty.
+        """
+        key = 0 if self._action_free else action
+        tables = self._tables.get(key)
+        if tables is None:
+            stacked = np.concatenate([src.likelihood[:, action, :] for src in self], axis=1)
+            noise_rows = np.array([src.noise_rows[action] for src in self])
+            for arr in (stacked, noise_rows):
+                arr.setflags(write=False)
+            tables = self._tables[key] = (stacked, noise_rows)
+        return tables
+
+    def scaled_costs(self, beta: float) -> np.ndarray:
+        """costs**beta, read-only, for a beta `_check_beta` accepts; the last
+        beta accepted is remembered with its array."""
+        if self._scaled is None or self._scaled[0] != beta:
+            scaled = _check_beta(beta, self.costs)
+            scaled.setflags(write=False)
+            self._scaled = (beta, scaled)
+        return self._scaled[1]
+
+
 @dataclass(frozen=True, eq=False)
 class SelectionProblem:
     """One per-step selection instance.
 
     belief   current (post-intrinsic-update) belief
     action   the action just taken, indexing the sources' likelihoods
-    sources  available channels, each with its own alphabet and cost
+    sources  available channels, each with its own alphabet and cost; any
+             iterable, stored as a `SourceSet` (a set passed in is kept, so
+             its tables are shared with every problem it serves)
     budget   cap on the summed cost of the selected subset
     beta     cost-scaling exponent in the greedy ratio
     """
 
     belief: Belief
     action: int
-    sources: tuple[InfoSource, ...]
+    sources: SourceSet
     budget: float
     beta: float = 1.0
 
     def __post_init__(self) -> None:
-        sources = tuple(self.sources)
-        for src in sources:
-            if src.likelihood.shape[0] != self.belief.num_states:
+        sources = self.sources if isinstance(self.sources, SourceSet) else SourceSet(self.sources)
+        action = int(self.action)
+        if sources:
+            num_states, num_actions = sources.shape
+            if num_states != self.belief.num_states:
                 raise ValueError("source state dimension does not match the belief")
-            if not 0 <= int(self.action) < src.likelihood.shape[1]:
+            if not 0 <= action < num_actions:
                 raise ValueError("action index out of range for a source")
         if not float(self.budget) > 0.0:
             raise ValueError("budget must be positive")
-        _check_beta(float(self.beta), [src.cost for src in sources])
+        sources.scaled_costs(float(self.beta))
         object.__setattr__(self, "sources", sources)
-        object.__setattr__(self, "action", int(self.action))
+        object.__setattr__(self, "action", action)
         object.__setattr__(self, "budget", float(self.budget))
         object.__setattr__(self, "beta", float(self.beta))
 
@@ -130,13 +223,15 @@ class SelectionProblem:
         return len(self.sources)
 
 
-def _check_beta(beta: float, costs) -> None:
-    """Refuse a beta that is not positive or takes a cost to a power that is
-    not finite and positive: the greedy ratio divides by cost**beta."""
+def _check_beta(beta: float, costs) -> np.ndarray:
+    """costs**beta, refusing a beta that is not positive or takes a cost to a
+    power that is not finite and positive: the greedy ratio divides by
+    cost**beta."""
     with np.errstate(over="ignore"):
         scaled = np.asarray(costs, dtype=float) ** beta
     if not (beta > 0.0 and np.all(np.isfinite(scaled) & (scaled > 0.0))):
         raise ValueError(f"beta must be positive, with every cost**beta finite and positive, got {beta}")
+    return scaled
 
 
 @dataclass(frozen=True)
@@ -186,8 +281,13 @@ def conditional_entropy(problem: SelectionProblem, subset: PerceptionAction) -> 
     alphabet; for the empty subset this is just the entropy of the current
     belief.
     """
-    weights = _joint_weights(problem, subset).reshape(-1, problem.belief.num_states)
-    joint = weights * problem.belief.probs[None, :]
+    return _table_entropy(_joint_weights(problem, subset), problem.belief.probs)
+
+
+def _table_entropy(weights: np.ndarray, probs: np.ndarray) -> float:
+    """H(state | outcome) under the belief `probs`, for a product likelihood
+    with one axis per source, then the state axis."""
+    joint = weights.reshape(-1, probs.size) * probs[None, :]
     return float(_xlogx(joint.sum(axis=-1)).sum(axis=-1) - _xlogx(joint).sum(axis=(-2, -1)))
 
 
@@ -197,13 +297,11 @@ def mutual_information(problem: SelectionProblem, subset: PerceptionAction) -> f
     Values within 1e-12 of zero are clamped to exactly 0; floating-point sums
     can dip a hair below zero for uninformative subsets.
     """
-    return _clamped_gain(entropy(problem.belief), problem, subset)
+    return _clamp(entropy(problem.belief) - conditional_entropy(problem, subset))
 
 
-def _clamped_gain(prior_entropy: float, problem: SelectionProblem, subset: PerceptionAction) -> float:
-    """`prior_entropy` minus the subset's conditional entropy, clamped to 0
-    within _MI_CLAMP of zero."""
-    gain = prior_entropy - conditional_entropy(problem, subset)
+def _clamp(gain: float) -> float:
+    """`gain`, or exactly 0 within _MI_CLAMP of zero."""
     return 0.0 if abs(gain) < _MI_CLAMP else gain
 
 
@@ -230,9 +328,9 @@ def generalized_greedy(problem: SelectionProblem) -> SelectionOutcome:
 
     Candidates are scored by the conditional-independence identity: for the
     chosen set C and a candidate j, I(S; Y_C, Y_j) = H(Y_C, Y_j) -
-    sum_{i in C + j} H(Y_i | S).  Each source's noise term H(Y_i | S) is one
-    dot product of the belief with the source's cached `noise_rows`, which
-    are computed once per source, not per call.  Each round takes logs only
+    sum_{i in C + j} H(Y_i | S).  The noise terms H(Y_i | S) are one product
+    of the belief with the source set's cached noise rows, which are built
+    once per set, not per call.  Each round takes logs only
     over the report marginal p(outcome of C, report of j), never over the
     joint (outcome x state) table: the chosen set's joint table
     p(outcome, state), which keeps only outcomes of positive probability and
@@ -254,19 +352,17 @@ def _greedy_picks(problem: SelectionProblem) -> tuple[PerceptionAction, float]:
     """The selection and summed cost of `generalized_greedy`, without its
     utility."""
     sources = problem.sources
-    costs = np.array([src.cost for src in sources])
+    costs = sources.costs
     affordable = costs <= problem.budget
     if not affordable.any():
         return PerceptionAction(), 0.0
     probs = problem.belief.probs
-    action = problem.action
-    sizes = [src.num_symbols for src in sources]
-    scaled_costs = costs**problem.beta
-    # noise[j] = -H(Y_j | S) under the belief.
-    noise = np.array([src.noise_rows[action] for src in sources]) @ probs
+    sizes, starts = sources.sizes, sources.starts
+    scaled_costs = sources.scaled_costs(problem.beta)
     # stacked[s, starts[j] + y] = p(source j reports y | state s).
-    stacked = np.concatenate([src.likelihood[:, action, :] for src in sources], axis=1)
-    starts = [0, *accumulate(sizes[:-1])]
+    stacked, noise_rows = sources.tables(problem.action)
+    # noise[j] = -H(Y_j | S) under the belief.
+    noise = noise_rows @ probs
 
     live = affordable.copy()                   # the candidates left in the pool
     chosen: list[int] = []
@@ -289,8 +385,8 @@ def _greedy_picks(problem: SelectionProblem) -> tuple[PerceptionAction, float]:
         live &= chosen_cost + costs <= problem.budget
         if not live.any():
             break
-        extended = table[:, None, :] * sources[best].likelihood[:, action, :].T
-        extended = extended.reshape(-1, probs.size)
+        columns = stacked[:, starts[best] : starts[best] + sizes[best]]
+        extended = (table[:, None, :] * columns.T).reshape(-1, probs.size)
         table = extended[extended.any(axis=1)]
 
     if mi_chosen >= singles.max() - _TIE_TOL:
@@ -303,28 +399,43 @@ def brute_force_optimal(problem: SelectionProblem) -> SelectionOutcome:
     """Exhaustive optimum over all budget-feasible subsets.
 
     Exact-utility ties keep the lexicographically smallest index set (the
-    empty set participates with utility 0).  Refuses more than
+    empty set participates with utility 0).  Subsets are walked depth first
+    in lexicographic order, each subset's product likelihood being its
+    prefix's times one more source's; costs are positive, so a subset over
+    the budget is not extended.  A subset's cost is
+    `sum(costs[j] for j in subset)`, and each affordable subset's joint
+    alphabet must fit `DEFAULT_JOINT_CAP`.  Refuses more than
     BRUTE_FORCE_MAX_SOURCES sources.
     """
     n = problem.num_sources
     if n > BRUTE_FORCE_MAX_SOURCES:
         raise TooManySources(f"{n} sources; exhaustive cap is {BRUTE_FORCE_MAX_SOURCES}")
-    costs = [src.cost for src in problem.sources]
+    sources = problem.sources
+    costs = [src.cost for src in sources]
+    columns = [src.likelihood[:, problem.action, :].T for src in sources]
+    probs = problem.belief.probs
     prior_entropy = entropy(problem.belief)
-    best_subset: tuple[int, ...] = ()
-    best_utility = 0.0
-    best_cost = 0.0
-    for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
-            total = sum(costs[j] for j in combo)
+    best: tuple[tuple[int, ...], float, float] = ((), 0.0, 0.0)
+
+    def extend(prefix: tuple[int, ...], weights: np.ndarray) -> None:
+        nonlocal best
+        for j in range(prefix[-1] + 1 if prefix else 0, n):
+            combo = (*prefix, j)
+            total = sum(costs[i] for i in combo)
             if total > problem.budget:
                 continue
-            utility = _clamped_gain(prior_entropy, problem, PerceptionAction(combo))
-            if utility > best_utility or (utility == best_utility and combo < best_subset):
-                best_subset = combo
-                best_utility = utility
-                best_cost = total
-    return SelectionOutcome(PerceptionAction(best_subset), best_utility, best_cost)
+            _check_alphabet([sources.sizes[i] for i in combo])
+            table = weights[..., None, :] * columns[j]
+            utility = _clamp(prior_entropy - _table_entropy(table, probs))
+            # Subsets come in lexicographic order, so an exact tie keeps the
+            # smaller index set found first.
+            if utility > best[1]:
+                best = (combo, utility, total)
+            extend(combo, table)
+
+    extend((), np.ones(probs.size))
+    selected, utility, total = best
+    return SelectionOutcome(PerceptionAction(selected), utility, total)
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,31 @@ def oracle_greedy(
     return (next(j for j, h_j in zip(affordable, singles) if h_j <= lowest + tie_tol),)
 
 
+def oracle_brute_force(
+    belief: np.ndarray,
+    slices: list[np.ndarray],
+    costs: list[float],
+    budget: float,
+    tie_tol: float = 1e-12,
+) -> tuple[tuple[int, ...], float]:
+    """The best affordable subset and its entropy drop, by scoring every
+    subset of every size.
+
+    A subset is affordable when `sum` of its costs, in index order, is within
+    the budget; the empty set scores 0.  Drops within tie_tol of the best go
+    to the lexicographically smallest subset.
+    """
+    prior_entropy = oracle_conditional_entropy(belief, [])
+    scored = [((), 0.0)]
+    for mask in range(1, 2 ** len(slices)):
+        subset = tuple(j for j in range(len(slices)) if mask >> j & 1)
+        if sum(costs[j] for j in subset) <= budget:
+            drop = prior_entropy - oracle_conditional_entropy(belief, [slices[j] for j in subset])
+            scored.append((subset, drop))
+    best = max(drop for _, drop in scored)
+    return min(subset for subset, drop in scored if drop >= best - tie_tol), best
+
+
 # ---------------------------------------------------------------------------
 # Grid-world oracles.  Actions are (up, right, down, left, stop); cells are
 # numbered row by row.

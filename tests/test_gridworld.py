@@ -15,6 +15,7 @@ from pomdp_perception import (
     PerceptionAction,
     Scenario,
     SelectionProblem,
+    SourceSet,
     UavSpec,
     ValueFunction,
     ZeroLikelihoodObservation,
@@ -282,13 +283,14 @@ def test_uav_sources_are_built_once_per_waypoint_and_shared(monkeypatch):
     for t in range(24):
         uav_sources_at(scenario, t)
     assert sorted(built) == [0, 1, 5, 10, 11, 14, 15]
-    assert all(a is b for a, b in zip(uav_sources_at(scenario, 12), first))
-    # Each call returns a new list: mutating one leaves the next alone.
-    first.clear()
-    again = uav_sources_at(scenario, 0)
-    assert len(again) == 2 and again is not first
+    # One immutable set per patrol phase, returned at every step of it.
+    assert isinstance(first, SourceSet) and len(first) == 2
+    assert uav_sources_at(scenario, 12) is first
+    assert uav_sources_at(scenario, 13) is uav_sources_at(scenario, 1) is not first
+    with pytest.raises(TypeError):
+        first[0] = first[1]
     with pytest.raises(ValueError, match="read-only"):
-        again[0].likelihood[0, 0, 0] = 0.5
+        first[0].likelihood[0, 0, 0] = 0.5
     stock = default_scenario()
     uav_sources_at(stock, 0)
     assert len(built) == 7 + 48
@@ -571,6 +573,7 @@ def test_pinned_greedy_episodes_pick_what_greedy_and_the_oracle_pick(stock_qmdp,
     monkeypatch.setattr(gridworld, "_greedy_picks", recording)
     result = monte_carlo(pomdp, vf, scenario, "greedy", 2, n_runs=5, base_seed=0)
     assert [picked for _, picked in calls] == [s.selected for e in result.episodes for s in e.steps]
+    assert len(calls) == 96
     for problem, picked in calls:
         assert generalized_greedy(problem).selected == picked
         expected = oracle_greedy(

@@ -1,6 +1,7 @@
 """Entropy utilities, greedy selection, exhaustive baselines, bound checks."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pomdp_perception import (
     PerceptionAction,
     SelectionOutcome,
     SelectionProblem,
+    SourceSet,
     GREEDY_GUARANTEE,
     JointAlphabetTooLarge,
     TooManySources,
@@ -35,6 +37,7 @@ from pomdp_perception import (
 )
 from helpers import (
     oracle_bound_sides,
+    oracle_brute_force,
     oracle_conditional_entropy,
     oracle_greedy,
     oracle_marginal_gain_closed_form,
@@ -461,6 +464,105 @@ def test_greedy_propagates_joint_cap(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Source sets
+# ---------------------------------------------------------------------------
+
+
+def sparse_belief(rng, num_states) -> Belief:
+    """A random belief with about a quarter of its states at exactly 0."""
+    probs = rng.dirichlet(np.ones(num_states))
+    probs[rng.random(num_states) < 0.25] = 0.0
+    if probs.sum() == 0.0:
+        probs[int(rng.integers(num_states))] = 1.0
+    return Belief(probs / probs.sum())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.integers(2, 5),
+    num_sources=st.integers(1, 6),
+    num_actions=st.integers(1, 3),
+)
+def test_one_source_set_serves_many_problems_as_fresh_tuples_and_the_oracle_do(
+    seed, num_states, num_sources, num_actions
+):
+    # Sources whose rows differ by action and sources that show one row set
+    # to every action; beliefs with zeros; betas that change from problem to
+    # problem, so the set's remembered scaled costs are replaced.
+    rng = np.random.default_rng(seed)
+    sources = random_sparse_sources(rng, num_states, num_actions, num_sources)
+    shared = SourceSet(sources)
+    total = sum(src.cost for src in sources)
+    for _ in range(8):
+        kwargs = dict(
+            belief=sparse_belief(rng, num_states),
+            action=int(rng.integers(num_actions)),
+            budget=float(rng.uniform(0.2, 1.05) * total),
+            beta=float(rng.choice([0.5, 1.0, 2.0])),
+        )
+        on_set = SelectionProblem(sources=shared, **kwargs)
+        fresh = SelectionProblem(sources=tuple(sources), **kwargs)
+        assert on_set.sources is shared
+        assert fresh.sources is not shared and fresh.sources == shared
+        outcome = generalized_greedy(on_set)
+        assert outcome == generalized_greedy(fresh)
+        greedy_agrees_with_oracle(on_set)
+
+
+def test_source_set_tables_are_read_only_and_one_set_serves_every_action_when_rows_never_change():
+    scenario = default_scenario()
+    shared = uav_sources_at(scenario, 1)
+    stacked, noise_rows = shared.tables(3)
+    assert all(shared.tables(a) is shared.tables(3) for a in range(5))
+    assert stacked.shape == (scenario.num_cells, sum(shared.sizes))
+    assert noise_rows.shape == (len(shared), scenario.num_cells)
+    for arr in (stacked, noise_rows, shared.costs, shared.starts, shared.scaled_costs(1.0)):
+        assert not arr.flags.writeable
+    for j, src in enumerate(shared):
+        columns = stacked[:, shared.starts[j] : shared.starts[j] + shared.sizes[j]]
+        assert np.array_equal(columns, src.likelihood[:, 3, :])
+        assert noise_rows[j].tobytes() == src.noise_rows[3].tobytes()
+    # Two sources whose rows differ by action: one table set per action.
+    varied = SourceSet(random_sparse_sources(np.random.default_rng(36), 4, 3, 3))
+    per_action = [varied.tables(a) for a in range(3)]
+    assert all(varied.tables(a) is per_action[a] for a in range(3))
+    assert not np.array_equal(per_action[0][0], per_action[1][0])
+    for a, (stacked, noise_rows) in enumerate(per_action):
+        assert np.array_equal(stacked, np.concatenate([src.likelihood[:, a, :] for src in varied], axis=1))
+        assert noise_rows.tobytes() == np.array([src.noise_rows[a] for src in varied]).tobytes()
+
+
+def test_selection_problem_rejections_fire_on_a_source_set():
+    rng = np.random.default_rng(35)
+    shared = SourceSet((revealing_source(3, cost=0.5), revealing_source(3, cost=2.0)))
+    belief = random_belief(rng, 3)
+    problem = SelectionProblem(belief=belief, action=0, sources=shared, budget=1.0, beta=2.0)
+    assert problem.sources is shared
+    with pytest.raises(ValueError, match="state dimension"):
+        SelectionProblem(belief=random_belief(rng, 4), action=0, sources=shared, budget=1.0)
+    for action in (-1, 1):
+        with pytest.raises(ValueError, match="action"):
+            SelectionProblem(belief=belief, action=action, sources=shared, budget=1.0)
+    for budget in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="budget"):
+            SelectionProblem(belief=belief, action=0, sources=shared, budget=budget)
+    for beta in (0.0, -1.0, math.nan, math.inf, 2000.0):
+        with pytest.raises(ValueError, match="beta"):
+            SelectionProblem(belief=belief, action=0, sources=shared, budget=1.0, beta=beta)
+    # A refused beta leaves the set's scaled costs right for the next one.
+    assert shared.scaled_costs(2.0).tolist() == [0.25, 4.0]
+    mixed = (revealing_source(3), revealing_source(4))
+    with pytest.raises(ValueError, match="state dimension"):
+        SourceSet(mixed)
+    with pytest.raises(ValueError, match="state dimension"):
+        SelectionProblem(belief=belief, action=0, sources=mixed, budget=1.0)
+    two_actions = InfoSource(likelihood=np.full((3, 2, 2), 0.5), cost=1.0)
+    with pytest.raises(ValueError, match="action count"):
+        SourceSet((revealing_source(3), two_actions))
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive baseline
 # ---------------------------------------------------------------------------
 
@@ -498,6 +600,75 @@ def test_brute_force_source_cap():
         belief=Belief.uniform(2), action=0, sources=sources, budget=1.0
     )
     with pytest.raises(TooManySources):
+        brute_force_optimal(problem)
+
+
+def enumerated_optimum(problem):
+    """The exhaustive optimum as found by scoring every affordable subset,
+    size by size, with `mutual_information`."""
+    costs = [src.cost for src in problem.sources]
+    best = ((), 0.0, 0.0)
+    for size in range(1, problem.num_sources + 1):
+        for combo in combinations(range(problem.num_sources), size):
+            total = sum(costs[j] for j in combo)
+            if total <= problem.budget:
+                utility = mutual_information(problem, PerceptionAction(combo))
+                if utility > best[1] or (utility == best[1] and combo < best[0]):
+                    best = (combo, utility, total)
+    return SelectionOutcome(PerceptionAction(best[0]), best[1], best[2])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.integers(2, 5),
+    num_distinct=st.integers(1, 5),
+    copies=st.integers(0, 3),
+    budget_share=st.floats(0.02, 1.2),
+)
+def test_brute_force_matches_the_enumeration_oracle_with_duplicates_and_tight_budgets(
+    seed, num_states, num_distinct, copies, budget_share
+):
+    # Some sources offered more than once, alphabets of 1 to 5 symbols with
+    # exact zeros, and budgets from below the cheapest source to above the
+    # total, so many subsets are over the budget.
+    rng = np.random.default_rng(seed)
+    distinct = random_sparse_sources(rng, num_states, 2, num_distinct)
+    offered = list(distinct) + [distinct[int(i)] for i in rng.integers(num_distinct, size=copies)]
+    sources = tuple(offered[int(i)] for i in rng.permutation(len(offered)))
+    costs = [src.cost for src in sources]
+    problem = SelectionProblem(
+        belief=sparse_belief(rng, num_states),
+        action=int(rng.integers(2)),
+        sources=sources,
+        budget=budget_share * sum(costs),
+    )
+    outcome = brute_force_optimal(problem)
+    assert outcome == enumerated_optimum(problem)
+    columns = slices(problem, range(problem.num_sources))
+    expected, best = oracle_brute_force(problem.belief.probs, columns, costs, problem.budget)
+    assert outcome.utility == pytest.approx(best, rel=0, abs=1e-10)
+    assert outcome.total_cost == sum(costs[j] for j in outcome.selected) <= problem.budget
+    if outcome.selected != expected:
+        # Only a tie, which rounding in the library may break otherwise.
+        picked = oracle_conditional_entropy(problem.belief.probs, [columns[j] for j in outcome.selected])
+        prior = oracle_conditional_entropy(problem.belief.probs, [])
+        assert prior - picked == pytest.approx(best, rel=0, abs=1e-10)
+
+
+def test_brute_force_caps_the_joint_alphabet_of_affordable_subsets_only(monkeypatch):
+    # Four three-symbol sources and a budget for two: affordable subsets have
+    # at most 9 joint reports, the unaffordable ones up to 81.
+    rng = np.random.default_rng(37)
+    sources = tuple(
+        InfoSource(likelihood=rng.dirichlet(np.ones(3), size=(4, 1)), cost=1.0) for _ in range(4)
+    )
+    problem = SelectionProblem(belief=random_belief(rng, 4), action=0, sources=sources, budget=2.0)
+    uncapped = brute_force_optimal(problem)
+    monkeypatch.setattr(selection, "DEFAULT_JOINT_CAP", 9)
+    assert brute_force_optimal(problem) == uncapped
+    monkeypatch.setattr(selection, "DEFAULT_JOINT_CAP", 8)
+    with pytest.raises(JointAlphabetTooLarge):
         brute_force_optimal(problem)
 
 
