@@ -22,6 +22,7 @@ from .pomdp import (
 )
 from .pbvi import (
     AlphaVector,
+    BackupRecord,
     BeliefPointSet,
     SolveResult,
     ValueFunction,

@@ -13,18 +13,27 @@ shared score table.  A (point, observation) pair that reaches none of the
 departing entries scores the shared table alone, so only the pairs that
 reach one are scored: on the stock map a simplex corner reaches about 5 of
 the 64 cells.  Of a point's actions, the lowest whose backed-up value is
-within 1e-12 of the best wins, so rounding never decides an action.
-`solve` iterates backups, on bare arrays, under the Perseus acceptance rule,
-a prune of the backed-up and current sets pooled, so point values never
-fall and the iteration converges.  Points are sampled once up front and
-never adapted: the auxiliary observation channels available at runtime are
-unknown when the plan is computed, so the sampler covers the whole simplex
-instead of chasing reachable beliefs.
+within 1e-12 of the best wins, so rounding never decides an action.  Before
+those pairs are scored, two cheap bounds on each action's backed-up value
+eliminate the actions that cannot win at a point (action elimination,
+Puterman 1994, section 6.7): an upper bound that takes each observation's
+shared and departing terms at their separate maxima, and a lower bound that
+takes one previous vector at every observation.  An action whose upper bound
+lies below the point's best lower bound by more than the tie tolerance and a
+rounding margin is never the point's choice, so it is not scored there, and
+every result is the one scoring it would give.  `solve` iterates backups, on
+bare arrays, under the Perseus acceptance rule, a prune of the backed-up and
+current sets pooled, so point values never fall and the iteration
+converges.  Points are sampled once up front and never adapted: the
+auxiliary observation channels available at runtime are unknown when the
+plan is computed, so the sampler covers the whole simplex instead of chasing
+reachable beliefs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -34,6 +43,7 @@ from .pomdp import (
     Belief,
     Pomdp,
     _check_stochastic,
+    _TIE_TOL,
     _first_within_tol,
     _format_row,
     _frozen_array,
@@ -50,8 +60,13 @@ from .pomdp import (
 # memory.
 _BLOCK_ELEMENTS = 1 << 15
 
+# Relative rounding margin of the action bounds that let `backup` skip a
+# (point, action) pair; see `backup` for why it covers the rounding.
+_ROUNDING = 1e-9
+
 __all__ = [
     "AlphaVector",
+    "BackupRecord",
     "ValueFunction",
     "BeliefPointSet",
     "SolveResult",
@@ -190,15 +205,12 @@ def best_action(vf: ValueFunction, belief: Belief) -> int:
 def _dot_table(matrix: np.ndarray, points: BeliefPointSet) -> np.ndarray:
     """(num points, num vectors) dot products with the rows of `matrix`.
 
-    Each column is a matvec against one vector, so its rounding never
-    depends on which other vectors are in the set: pruning preserves point
-    values bit-for-bit, and `solve` carries a vector's column across
-    backups, equal to one computed again.
+    Each column is a matvec against one vector, one `np.matmul` broadcast
+    over the vectors, so its rounding never depends on which other vectors
+    are in the set: pruning preserves point values bit-for-bit, and `solve`
+    carries a vector's column across backups, equal to one computed again.
     """
-    table = np.empty((len(matrix), len(points)))
-    for row, coeffs in zip(table, matrix):
-        row[:] = points.matrix @ coeffs
-    return table.T
+    return np.matmul(points.matrix, matrix[:, :, None])[:, :, 0].T
 
 
 def point_values(vf: ValueFunction, points: BeliefPointSet) -> np.ndarray:
@@ -246,13 +258,39 @@ def backup(pomdp: Pomdp, previous: ValueFunction, points: BeliefPointSet) -> Val
     Ties are broken deterministically: the per-observation argmax keeps the
     lowest vector index, and each point the lowest action within 1e-12 of
     the best, so the block sizes, which order the sums, change no result.
+
+    On the departing-pairs path, a (point, action) pair is not scored where
+    bounds on its value show it cannot win (action elimination).  With
+    shared[b, k] = N_a(b) . (alpha_k * u_a) and, per departing row j,
+    picked_j[b, w] = N_a(b, rows_j[w]) and
+    weights_j[w, k] = alpha_k(rows_j[w]) * D_a(rows_j[w], w), the score of
+    vector k at (b, w) is shared[b, k] + sum_j picked_j[b, w] weights_j[w, k]:
+      upper  U_a(b) = R(., a) . b + W max_k shared[b, k]
+                      + sum_j sum_w picked_j[b, w] max_k weights_j[w, k],
+             since the max of a sum is at most the sum of the maxima and
+             picked and the departures are >= 0;
+      lower  L_a(b) = R(., a) . b + max_k N_a(b) . alpha_k,
+             the value of taking one vector k at every observation, a
+             feasible choice of winners since sum_w O(s', a, w) = 1.
+    A pair with U_a(b) < max_a' L_a'(b) - 1e-12 - margin gets the value
+    -inf, and its winners are not scored: only the chosen action's winners
+    are ever read.  The skip is exact.  Each compared quantity is a sum of at
+    most about S + W (m + 2) products whose magnitudes add up to at most
+    M = max |R| + max |alpha| (a row of N_a sums to at most the discount, a
+    sensor row to 1), so its rounding error is below about
+    (S + W (m + 2)) 2^-53 M.  The margin 1e-9 (1 + M) exceeds four such
+    errors while S + W (m + 2) stays below about 10^6.  So a skipped pair's
+    computed value lies more than 1e-12 below the computed best: the tie
+    rule never picks it, and the best is that of a pair that is scored.
     """
-    return ValueFunction.from_arrays(*_backup(pomdp, previous.matrix, points.matrix))
+    matrix, actions, _ = _backup(pomdp, previous.matrix, points.matrix)
+    return ValueFunction.from_arrays(matrix, actions)
 
 
-def _backup(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _backup(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """`backup` on bare arrays: previous vectors (K, S) and points (B, S) in,
-    the backed-up (matrix, actions) out, unvalidated."""
+    the backed-up (matrix, actions) out, unvalidated, with the number of
+    (point, action) pairs the action bounds skipped."""
     value_ba, winners = _best_responses(pomdp, prev, bmat)
     best_a = _first_within_tol(value_ba)
     first: dict[tuple[int, bytes], int] = {}
@@ -266,12 +304,15 @@ def _backup(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarra
         mine = tags == a
         trans = pomdp.transition[:, a, :]
         matrix[mine] = pomdp.reward[:, a] + pomdp.discount * (sums[mine] @ trans.T)
-    return matrix, tags
+    return matrix, tags, np.count_nonzero(value_ba == -np.inf)
 
 
 def _best_responses(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per point and action, the backed-up value (B, A) and, per observation,
-    the index of the winning previous vector (A, B, W)."""
+    the index of the winning previous vector (A, B, W).  On the departing-
+    pairs path a pair whose upper bound falls below the point's best lower
+    bound by more than the tie tolerance and a rounding margin is skipped:
+    its value is -inf and its winners are left unscored."""
     num_actions = pomdp.num_actions
     num_obs = pomdp.num_observations
     num_points, num_states = bmat.shape
@@ -281,23 +322,35 @@ def _best_responses(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[n
     floor, rows, departures = pomdp.sensor_split
     value_ba = bmat @ pomdp.reward
     winners = np.empty((num_actions, num_points, num_obs), dtype=np.int32)
+    blocks = [slice(a0, a0 + action_step) for a0 in range(0, num_actions, action_step)]
+    transitions = pomdp.transition.transpose(1, 0, 2)                              # (A, S, S')
+    reaches = [pomdp.discount * (bmat @ transitions[acts]) for acts in blocks]    # (a, B, S')
     # Where one block holds every pair, or K = 1, or every point reaches
     # every state, all pairs are scored block by block; elsewhere per
-    # action, departing pairs only.
+    # action, departing pairs only, of the actions the bounds leave in play.
     every_pair = action_step >= num_actions or len(prev) == 1
-    for a0 in range(0, num_actions, action_step):
-        acts = slice(a0, a0 + action_step)
-        reach = pomdp.discount * (bmat @ pomdp.transition[:, acts, :].transpose(1, 0, 2))
+    if not every_pair:
+        lower = np.concatenate([(reach @ prev.T).max(axis=2) for reach in reaches])   # (A, B)
+        margin = _TIE_TOL + _ROUNDING * (1.0 + np.abs(pomdp.reward).max() + np.abs(prev).max())
+        bar = (value_ba + lower.T).max(axis=1) - margin
+        tops = prev.max(axis=0)[rows] * departures                                   # (m, A, W)
+    for acts, reach in zip(blocks, reaches):
         shared = reach @ (prev * floor.T[acts, None, :]).transpose(0, 2, 1)      # (a, B, K)
+        ranks = np.arange(len(reach))[:, None]
         if not (every_pair or np.count_nonzero(reach) == reach.size):
+            # value_ba holds R . b in this block's columns until it is scored.
+            departing = np.einsum("mawb,maw->ab", reach[ranks, :, rows[:, acts]], tops[:, acts])
+            upper = value_ba[:, acts].T + num_obs * shared.max(axis=2) + departing
+            beaten = upper < bar                                                  # (a, B)
             won = np.empty((len(reach), num_points, num_obs))
-            for i, a in enumerate(range(a0, a0 + len(reach))):
+            for i, a in enumerate(range(acts.start, acts.start + len(reach))):
                 _score_departing_pairs(
-                    reach[i], shared[i], prev, rows[:, a], departures[:, a], winners[a], won[i]
+                    reach[i], shared[i], prev, rows[:, a], departures[:, a],
+                    winners[a], won[i], beaten[i],
                 )
             value_ba[:, acts] += won.sum(axis=2).T
+            value_ba[:, acts][beaten.T] = -np.inf
             continue
-        ranks = np.arange(len(reach))[:, None]
         for w0 in range(0, num_obs, obs_step):
             ws = slice(w0, w0 + obs_step)
             picked = reach[ranks, :, rows[:, acts, ws]]                           # (m, a, w, B)
@@ -311,14 +364,16 @@ def _best_responses(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[n
     return value_ba, winners
 
 
-def _score_departing_pairs(reach, shared, prev, rows, departures, winners, won):
+def _score_departing_pairs(reach, shared, prev, rows, departures, winners, won, skip=None):
     """Fill one action's winners (B, W) and winning scores `won` (B, W).
 
     reach (B, S') and shared (B, K) are the action's N_a and shared term,
     rows and departures (m, W) its sensor departures.  A pair none of whose
-    departure terms can be nonzero takes the shared argmax; points that
-    depart at every observation are scored in (observations, points, K)
-    tiles, the other points' departing pairs one (pair, K) row each.  The
+    departure terms can be nonzero takes the shared argmax, and so does
+    every pair of a point where `skip` (B,) is set, whose scores go unread;
+    points that depart at every observation are scored in (observations,
+    points, K) tiles, the other points' departing pairs one (pair, K) row
+    each.  The
     winning scores are then formed again for the winners alone, one way for
     every pair, whichever kernel picked its winner: the products summed over
     departing rows in row order, then the shared term added.
@@ -326,6 +381,8 @@ def _score_departing_pairs(reach, shared, prev, rows, departures, winners, won):
     num_obs, num_vectors = rows.shape[1], len(prev)
     picked = reach[:, rows].transpose(1, 0, 2)                                # (m, B, W)
     live = ((picked != 0.0) & (departures[:, None] != 0.0)).any(axis=0)      # (B, W)
+    if skip is not None:
+        live &= ~skip[:, None]
     weights = prev.T[rows] * departures[:, :, None]                           # (m, W, K)
     winners[:] = shared.argmax(axis=1)[:, None]
     # One departing row (the grid's sensor) makes each score an outer product.
@@ -400,14 +457,28 @@ def prune(vf: ValueFunction, points: BeliefPointSet) -> ValueFunction:
     return ValueFunction.from_arrays(vf.matrix[winners], vf.actions[winners])
 
 
+class BackupRecord(NamedTuple):
+    """One iteration of `solve`: the summed point-value rise it made, the
+    vectors it backed up and kept, its wall time (backup and acceptance)
+    and the (point, action) pairs the backup's action bounds skipped."""
+
+    delta: float
+    k_in: int
+    k_out: int
+    seconds: float
+    skipped: int
+
+
 @dataclass(frozen=True)
 class SolveResult:
-    """Solved value function plus the convergence report."""
+    """Solved value function plus the convergence report; `history` holds
+    one `BackupRecord` per backup and takes no part in equality."""
 
     value_function: ValueFunction
     iterations: int
     final_delta: float
     converged: bool
+    history: tuple[BackupRecord, ...] = field(default=(), compare=False)
 
 
 def solve(
@@ -430,7 +501,8 @@ def solve(
     converge, and plain PBVI's cycling between two sets cannot occur.  The
     point x vector dot table is carried from one iteration to the next:
     each one computes only the backed-up set's columns.  The loop runs on
-    bare (matrix, actions) arrays; the result is validated once.
+    bare (matrix, actions) arrays; the result is validated once, and its
+    `history` records each iteration (`BackupRecord`).
 
     Stops when the summed V_t(b) - V_{t-1}(b) over the sampled points drops
     below `tol` (converged=True, `iterations` backups ran) or after
@@ -450,8 +522,10 @@ def solve(
     table = _dot_table(matrix, points)
     values = table.max(axis=1)
     delta = np.inf
+    history = []
     for iteration in range(1, max_iter + 1):
-        new_matrix, new_actions = _backup(pomdp, matrix, points.matrix)
+        began, k_in = time.perf_counter(), len(matrix)
+        new_matrix, new_actions, skipped = _backup(pomdp, matrix, points.matrix)
         table = np.concatenate((_dot_table(new_matrix, points), table), axis=1)
         winners = np.unique(table.argmax(axis=1))
         table = table[:, winners]
@@ -459,9 +533,11 @@ def solve(
         actions = np.concatenate((new_actions, actions))[winners]
         previous, values = values, table.max(axis=1)
         delta = float(np.abs(values - previous).sum())
+        history.append(BackupRecord(delta, k_in, len(matrix), time.perf_counter() - began, skipped))
         if delta < tol:
             break
-    return SolveResult(ValueFunction.from_arrays(matrix, actions), iteration, delta, delta < tol)
+    vf = ValueFunction.from_arrays(matrix, actions)
+    return SolveResult(vf, iteration, delta, delta < tol, tuple(history))
 
 
 # ---------------------------------------------------------------------------

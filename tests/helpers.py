@@ -62,15 +62,20 @@ def random_sparse_sources(rng, num_states, num_actions, count) -> tuple[InfoSour
     return tuple(out)
 
 
-def select_bench_problem(base_seed, index, config=bench.BenchConfig()):
-    """The selection problem of select-bench instance (base_seed, index),
-    drawn in evaluate_instance's order."""
+def select_bench_instance(base_seed, index, config=bench.BenchConfig()):
+    """The model and the selection problem of select-bench instance
+    (base_seed, index), drawn in evaluate_instance's order."""
     rng = np.random.default_rng([base_seed, index])
     num_states = int(rng.integers(2, config.max_states + 1))
     num_actions = int(rng.integers(2, 4))
     num_observations = int(rng.integers(2, config.max_states + 1))
-    bench.random_pomdp(rng, num_states, num_actions, num_observations, config.discount)
-    return bench.random_selection_problem(rng, num_states, num_actions, config)
+    pomdp = bench.random_pomdp(rng, num_states, num_actions, num_observations, config.discount)
+    return pomdp, bench.random_selection_problem(rng, num_states, num_actions, config)
+
+
+def select_bench_problem(base_seed, index, config=bench.BenchConfig()):
+    """The selection problem of select-bench instance (base_seed, index)."""
+    return select_bench_instance(base_seed, index, config)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +486,21 @@ def oracle_backup(
         if not any(a == best[0] and np.allclose(c, best[1], rtol=0, atol=1e-9) for a, c in emitted):
             emitted.append(best)
     return emitted
+
+
+def oracle_action_values(pomdp: Pomdp, previous: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Every action's backed-up value at every point, (B, A): R(., a) . b
+    plus, per observation, the best of the projections
+    g[w, k] = discount * T_a (O(., a, w) * alpha_k), each built on its own."""
+    values = points @ pomdp.reward
+    for a in range(pomdp.num_actions):
+        for w in range(pomdp.num_observations):
+            projected = [
+                pomdp.discount * (pomdp.transition[:, a, :] @ (pomdp.observation[:, a, w] * alpha))
+                for alpha in previous
+            ]
+            values[:, a] += np.max([points @ g for g in projected], axis=0)
+    return values
 
 
 def oracle_pool_and_prune(backed_up: np.ndarray, current: np.ndarray, points: np.ndarray) -> list[int]:

@@ -1,5 +1,6 @@
 """Planner: belief sampling, backups, pruning, convergence, serialization."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from pomdp_perception import (
     UavSpec,
     ValueFunction,
     backup,
+    bench,
     best_action,
     build_pomdp,
     default_scenario,
@@ -31,12 +33,14 @@ from pomdp_perception import (
 )
 from helpers import (
     mdp_value_iteration,
+    oracle_action_values,
     oracle_backup,
     oracle_one_step_value,
     oracle_pool_and_prune,
     oracle_sample_beliefs,
     random_belief,
     random_pomdp,
+    select_bench_instance,
 )
 
 
@@ -570,6 +574,79 @@ def test_stock_solve_from_the_lower_bound_ignores_the_block_size(elements):
     assert np.array_equal(patched.value_function.actions, default.value_function.actions)
 
 
+def departing_rows_model(rng, num_states: int, num_actions: int, keep: float, twins: bool) -> Pomdp:
+    """A random model with about 1 - keep of its transitions exactly 0 and a
+    sensor that departs from its floor at one or two rows per (action,
+    observation): state s' departs from a floor below 1/W at one
+    observation, and no observation takes more than two states.  With
+    `twins`, action 1 repeats action 0 exactly."""
+    num_obs = int(rng.integers((num_states + 1) // 2, num_states + 2))
+    base = with_zero_transitions(rng, random_pomdp(rng, num_states, num_actions, num_obs), keep)
+    floor = rng.uniform(0.0, 1.0 / num_obs, size=(num_states, num_actions))
+    floor[rng.random(floor.shape) < 0.3] = 0.0
+    observation = np.repeat(floor[:, :, None], num_obs, axis=2)
+    for a in range(num_actions):
+        departs_at = rng.permutation(np.arange(num_states) % num_obs)
+        observation[np.arange(num_states), a, departs_at] += 1.0 - num_obs * floor[:, a]
+    transition, reward = base.transition.copy(), base.reward.copy()
+    if twins:
+        for table in (transition, observation, reward):
+            table[:, 1] = table[:, 0]
+    return Pomdp(transition, observation, reward, base.discount)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.integers(2, 6),
+    num_actions=st.integers(2, 3),
+    keep=st.floats(0.2, 0.8),
+    twins=st.booleans(),
+    count=st.integers(1, 30),
+    num_vectors=st.integers(2, 8),
+)
+def test_backup_with_skipped_pairs_matches_the_plain_loop(
+    seed, num_states, num_actions, keep, twins, count, num_vectors
+):
+    # The action bounds skip pairs on the departing-pairs path; with twin
+    # actions every point ties exactly between them, and the lower must win.
+    rng = np.random.default_rng(seed)
+    p = departing_rows_model(rng, num_states, num_actions, keep, twins)
+    assert p.sensor_split[1].shape[0] <= 2
+    points = sample_beliefs_uniform(num_states, count, seed=seed % 1000)
+    previous = random_previous(rng, num_vectors, num_states, num_actions)
+    expected = oracle_backup(p, previous.matrix, points.matrix)
+    with mock.patch.object(pbvi, "_BLOCK_ELEMENTS", 64):
+        vf = backup(p, previous, points)
+    assert len(vf) == len(expected)
+    for (action, coeffs), row, tag in zip(expected, vf.matrix, vf.actions):
+        assert tag == action
+        assert np.allclose(row, coeffs, rtol=0, atol=1e-9)
+    if twins:
+        assert 1 not in vf.actions.tolist()
+
+
+@pytest.mark.parametrize("model", ["grid", "stock"])
+def test_backup_skips_only_pairs_that_cannot_win(model):
+    # A skipped pair's value, from projections built one by one, lies more
+    # than the tie tolerance below the point's best, so the skip can change
+    # neither the best value nor the action the tie rule picks.
+    if model == "grid":
+        p = build_pomdp(tiny_grid())
+        points = sample_beliefs_uniform(p.num_states, 50, seed=36)
+    else:
+        p = build_pomdp(default_scenario())
+        points = sample_beliefs_uniform(p.num_states, 100, seed=7)
+    previous = solve(p, points, max_iter=5).value_function.matrix
+    values, _ = pbvi._best_responses(p, previous, points.matrix)
+    skipped = np.isneginf(values)
+    expected = oracle_action_values(p, previous, points.matrix)
+    assert skipped.any() and not skipped.all(axis=1).any()
+    best = expected.max(axis=1, keepdims=True)
+    assert np.all((expected < best - 1e-12)[skipped])
+    assert np.allclose(values[~skipped], expected[~skipped], rtol=0, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Prune
 # ---------------------------------------------------------------------------
@@ -609,9 +686,58 @@ def test_prune_preserves_values_at_all_points(seed, num_vectors, num_states, cop
     assert np.array_equal(point_values(pruned, points), point_values(vf, points))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_vectors=st.integers(1, 30),
+    num_states=st.integers(1, 70),
+    count=st.integers(1, 120),
+)
+def test_dot_table_columns_do_not_depend_on_the_other_vectors(seed, num_vectors, num_states, count):
+    # `solve` carries a vector's column from one backup to the next, so it
+    # must equal the column computed again among any other vectors.
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(scale=10.0, size=(num_vectors, num_states))
+    points = sample_beliefs_uniform(num_states, count, seed=seed % 1000)
+    table = pbvi._dot_table(matrix, points)
+    assert table.shape == (len(points), num_vectors)
+    subset = rng.permutation(num_vectors)[: int(rng.integers(1, num_vectors + 1))]
+    assert np.array_equal(pbvi._dot_table(matrix[subset], points), table[:, subset])
+    for k in range(num_vectors):
+        assert np.array_equal(pbvi._dot_table(matrix[k : k + 1], points)[:, 0], table[:, k])
+        assert np.array_equal(points.matrix @ matrix[k], table[:, k])
+
+
 # ---------------------------------------------------------------------------
 # Solve
 # ---------------------------------------------------------------------------
+
+
+def test_solve_history_records_every_backup():
+    p = build_pomdp(default_scenario())
+    points = sample_beliefs_uniform(p.num_states, 100, seed=7)
+    result = solve(p, points, max_iter=6)
+    history = result.history
+    assert len(history) == result.iterations == 6
+    assert history[-1].delta == result.final_delta
+    assert history[0].k_in == 1 and history[-1].k_out == len(result.value_function)
+    assert all(before.k_out == after.k_in for before, after in zip(history, history[1:]))
+    assert all(record.seconds >= 0.0 for record in history)
+    # The first backup has K = 1 and scores every pair; later ones skip.
+    assert history[0].skipped == 0 and all(record.skipped > 0 for record in history[1:])
+    assert dataclasses.replace(result, history=()) == result
+
+
+def test_solve_history_counts_no_skips_on_select_bench_models():
+    # Their dense models take the all-pairs path, which skips nothing.
+    config = bench.BenchConfig()
+    for index in range(5):
+        p, _ = select_bench_instance(0, index)
+        points = sample_beliefs_uniform(p.num_states, config.solver_points, seed=index)
+        result = solve(p, points, tol=config.solver_tol, max_iter=config.solver_max_iter)
+        assert len(result.history) == result.iterations
+        assert result.history[-1].delta == result.final_delta
+        assert all(record.skipped == 0 for record in result.history)
 
 
 def test_solve_discount_zero_converges_fast():
@@ -666,8 +792,9 @@ def test_solve_point_values_never_decrease(seed, grid, discount, accuracy, count
 
     def recording_backup(pomdp, matrix, bmat):
         inputs.append(point_values(ValueFunction.from_arrays(matrix, np.zeros(len(matrix))), points))
-        outputs.append(ValueFunction.from_arrays(*real_backup(pomdp, matrix, bmat)))
-        return outputs[-1].matrix, outputs[-1].actions
+        backed_up, actions, skipped = real_backup(pomdp, matrix, bmat)
+        outputs.append(ValueFunction.from_arrays(backed_up, actions))
+        return backed_up, actions, skipped
 
     real_backup = pbvi._backup
     with mock.patch.object(pbvi, "_backup", recording_backup):
@@ -707,7 +834,7 @@ def test_solve_pools_backed_up_vectors_first_and_keeps_each_points_first_maximum
     kept_old = 0
     actions = initialize_value(p).actions
     chosen_matrices = [matrix for matrix, _ in steps[1:]] + [result.value_function.matrix]
-    for (current, (backed_up, backed_up_actions)), chosen in zip(steps, chosen_matrices):
+    for (current, (backed_up, backed_up_actions, _)), chosen in zip(steps, chosen_matrices):
         kept = oracle_pool_and_prune(backed_up, current, points.matrix)
         kept_old += sum(k >= len(backed_up) for k in kept)
         assert np.array_equal(chosen, np.concatenate((backed_up, current))[kept])
