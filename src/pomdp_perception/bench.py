@@ -9,6 +9,7 @@ each instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,17 +47,23 @@ class BenchConfig:
     Instances draw 2..max_sources sources, 2..max_states states and
     observations, and 2..max_symbols symbols per source, so each cap must be
     at least 2, and max_sources at most the exhaustive search's
-    `BRUTE_FORCE_MAX_SOURCES`.
+    `BRUTE_FORCE_MAX_SOURCES`.  The `select-bench` flags set these four.
+
+    Four class constants, not fields, fix each instance's model and solve:
+    the model's `discount`, and the `solver_points` sampled beliefs,
+    `solver_tol` and `solver_max_iter` of its solve.  No flag sets them, and
+    the pinned select-bench results (every solve converging, the theorem 2
+    counterexamples) hold for these values.
     """
 
     max_states: int = 6
     max_sources: int = 10
     max_symbols: int = 3
     beta: float = 1.0
-    discount: float = 0.9
-    solver_points: int = 16
-    solver_tol: float = 1e-3
-    solver_max_iter: int = 500
+    discount: ClassVar[float] = 0.9
+    solver_points: ClassVar[int] = 16
+    solver_tol: ClassVar[float] = 1e-3
+    solver_max_iter: ClassVar[int] = 500
 
     def __post_init__(self) -> None:
         if not 2 <= self.max_sources <= BRUTE_FORCE_MAX_SOURCES:

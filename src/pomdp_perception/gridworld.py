@@ -392,18 +392,17 @@ def run_episode(
     policy: str,
     k: int,
     seed,
-    action_override: Sequence[int] | None = None,
 ) -> EpisodeRecord:
     """Roll out one episode.
 
-    Per step: act greedily on the value function (or follow action_override),
-    collect the discounted reward, sample the transition and the intrinsic
-    observation, update the belief, then query sources per the perception
-    policy and fold their sampled reports into the belief.  Terminates on
-    reaching the goal (checked before acting) or at the horizon.  k is the
-    per-step cost budget of the queried sources, for the random policy as
-    for the greedy one.  Under `none`, or with k <= 0, the episode builds
-    and reads no UAV source.  The greedy policy takes only the picks of
+    Per step: act greedily on the value function, collect the discounted
+    reward, sample the transition and the intrinsic observation, update the
+    belief, then query sources per the perception policy and fold their
+    sampled reports into the belief.  Terminates on reaching the goal
+    (checked before acting) or at the horizon.  k is the per-step cost
+    budget of the queried sources, for the random policy as for the greedy
+    one.  Under `none`, or with k <= 0, the episode builds and reads no UAV
+    source.  The greedy policy takes only the picks of
     `generalized_greedy`, not its utility.  The step source sets, with the
     tables greedy reads, and each source's report running sums are built
     once per scenario and shared by every step and episode.
@@ -442,7 +441,7 @@ def run_episode(
     for t in range(scenario.horizon):
         if state == scenario.goal_cell:
             break
-        action = int(action_override[t]) if action_override is not None else best_action(vf, belief)
+        action = best_action(vf, belief)
         reward = float(pomdp.reward[state, action])
         total += scenario.discount**t * reward
         next_state = _sample_index(rng_trans, transition_sums[state, action])

@@ -75,9 +75,7 @@ __all__ = [
     "backup",
     "prune",
     "solve",
-    "value",
     "best_action",
-    "point_values",
     "read_value_function",
     "write_value_function",
 ]
@@ -193,10 +191,6 @@ def initialize_value(pomdp: Pomdp) -> ValueFunction:
     return ValueFunction.from_arrays(np.full((1, pomdp.num_states), low), [0])
 
 
-def value(vf: ValueFunction, belief: Belief) -> float:
-    return float((vf.matrix @ belief.probs).max())
-
-
 def best_action(vf: ValueFunction, belief: Belief) -> int:
     """Action tag of the maximizing alpha vector; ties keep the lowest index."""
     return int(vf.actions[int(np.argmax(vf.matrix @ belief.probs))])
@@ -211,11 +205,6 @@ def _dot_table(matrix: np.ndarray, points: BeliefPointSet) -> np.ndarray:
     carries a vector's column across backups, equal to one computed again.
     """
     return np.matmul(points.matrix, matrix[:, :, None])[:, :, 0].T
-
-
-def point_values(vf: ValueFunction, points: BeliefPointSet) -> np.ndarray:
-    """V(b) for every sampled point, as a vector."""
-    return _dot_table(vf.matrix, points).max(axis=1)
 
 
 def backup(pomdp: Pomdp, previous: ValueFunction, points: BeliefPointSet) -> ValueFunction:

@@ -33,8 +33,6 @@ __all__ = [
     "PerceptionAction",
     "belief_update_intrinsic",
     "belief_update_auxiliary",
-    "observation_probability",
-    "expected_immediate_reward",
     "read_pomdp_file",
     "write_pomdp_file",
 ]
@@ -324,16 +322,6 @@ def belief_update_auxiliary(
             f"auxiliary reports {tuple(symbols)} have zero joint probability"
         )
     return Belief(unnormalized / total)
-
-
-def observation_probability(pomdp: Pomdp, belief: Belief, action: int, obs: int) -> float:
-    """Pr(obs | belief, action); the normalizer of the intrinsic update."""
-    predicted = belief.probs @ pomdp.transition[:, action, :]
-    return float(pomdp.observation[:, action, obs] @ predicted)
-
-
-def expected_immediate_reward(pomdp: Pomdp, belief: Belief, action: int) -> float:
-    return float(belief.probs @ pomdp.reward[:, action])
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,6 @@ __all__ = [
     "entropy",
     "conditional_entropy",
     "mutual_information",
-    "marginal_gain",
     "generalized_greedy",
     "brute_force_optimal",
     "check_distance_bound",
@@ -303,14 +302,6 @@ def mutual_information(problem: SelectionProblem, subset: PerceptionAction) -> f
 def _clamp(gain: float) -> float:
     """`gain`, or exactly 0 within _MI_CLAMP of zero."""
     return 0.0 if abs(gain) < _MI_CLAMP else gain
-
-
-def marginal_gain(problem: SelectionProblem, subset: PerceptionAction, source: int) -> float:
-    """Utility increase from adding `source` to `subset`."""
-    if source in subset:
-        raise ValueError(f"source {source} is already selected")
-    with_source = PerceptionAction((*subset, source))
-    return mutual_information(problem, with_source) - mutual_information(problem, subset)
 
 
 def generalized_greedy(problem: SelectionProblem) -> SelectionOutcome:

@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-from pomdp_perception import Belief, InfoSource, Pomdp, bench
+from pomdp_perception import Belief, InfoSource, Pomdp, Scenario, UavSpec, bench
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +60,24 @@ def random_sparse_sources(rng, num_states, num_actions, count) -> tuple[InfoSour
         likelihood = rows / rows.sum(axis=2, keepdims=True)
         out.append(InfoSource(likelihood=likelihood, cost=float(rng.uniform(0.2, 1.5))))
     return tuple(out)
+
+
+def tiny_scenario(**overrides) -> Scenario:
+    """A 3x3 grid with an obstacle at the centre and one UAV over it that
+    sees the whole grid without error; `overrides` replace fields."""
+    fields = dict(
+        width=3,
+        height=3,
+        start_cell=6,
+        goal_cell=2,
+        obstacle_cells=frozenset({4}),
+        discount=0.9,
+        horizon=15,
+        budget=1,
+        uavs=(UavSpec(waypoints=(4,), detection_accuracy=1.0),),
+    )
+    fields.update(overrides)
+    return Scenario(**fields)
 
 
 def select_bench_instance(base_seed, index, config=bench.BenchConfig()):
@@ -243,9 +261,6 @@ def oracle_bound_sides(
         total = sum(weights)
         return [w / total for w in weights]
 
-    def value(b):
-        return max(sum(row[s] * b[s] for s in range(n)) for row in alphas)
-
     distance = expected_kl = loss = 0.0
     for symbols in product(*(range(slices[i].shape[1]) for i in union)):
         report = dict(zip(union, symbols))
@@ -258,7 +273,7 @@ def oracle_bound_sides(
         expected_kl += p_report * sum(
             o * math.log(o / belief[s]) for s, o in enumerate(post_o) if o > 0.0
         )
-        loss += p_report * (value(post_g) - value(post_o))
+        loss += p_report * (oracle_value(alphas, post_g) - oracle_value(alphas, post_o))
     delta = math.sqrt(max(2.0 / math.sqrt(math.e) * expected_kl, 0.0))
     reward_scale = max(abs(float(x)) for x in np.ravel(reward))
     return distance, delta, loss, delta * reward_scale / (1.0 - discount)
@@ -413,6 +428,20 @@ def oracle_uav_likelihood(
 # ---------------------------------------------------------------------------
 # Planning oracles
 # ---------------------------------------------------------------------------
+
+
+def oracle_value(alphas, belief) -> float:
+    """V(b): the largest row . b over the rows of `alphas`, each summed as a
+    plain loop over the states."""
+    return max(sum(row[s] * belief[s] for s in range(len(belief))) for row in alphas)
+
+
+def oracle_point_values(alphas, points: np.ndarray) -> np.ndarray:
+    """V at every row of `points` (B, S): per point, the largest of the
+    rows' scores, each row scored on its own as one `points @ row`.  The
+    solve's dot table rounds each column the same way, so these values
+    equal the solve's bit for bit."""
+    return np.max([points @ row for row in alphas], axis=0)
 
 
 def oracle_sample_beliefs(num_states: int, count: int, seed: int) -> np.ndarray:

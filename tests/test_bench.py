@@ -21,9 +21,10 @@ def test_select_bench_solves_converge_on_the_first_hundred_instances(monkeypatch
     assert [i for i, result in enumerate(results) if not result.converged] == []
 
 
-def test_an_unconverged_solve_is_recorded_in_the_row():
+def test_an_unconverged_solve_is_recorded_in_the_row(monkeypatch):
     assert bench.evaluate_instance(0, 0).solve_converged
-    row = bench.evaluate_instance(0, 0, bench.BenchConfig(solver_max_iter=1))
+    monkeypatch.setattr(bench.BenchConfig, "solver_max_iter", 1)
+    row = bench.evaluate_instance(0, 0)
     assert row.solve_converged is False
 
 

@@ -3,8 +3,6 @@
 import pytest
 
 from pomdp_perception import (
-    Scenario,
-    UavSpec,
     bench,
     build_pomdp,
     cli,
@@ -13,6 +11,7 @@ from pomdp_perception import (
     write_pomdp_file,
     write_scenario_file,
 )
+from helpers import tiny_scenario
 
 
 def test_select_bench_writes_a_versioned_csv(tmp_path, capsys):
@@ -71,17 +70,7 @@ def test_select_bench_rejects_caps_out_of_range(tmp_path, capsys, flag, value, f
 
 
 def tiny_scenario_file(tmp_path) -> str:
-    scenario = Scenario(
-        width=3,
-        height=3,
-        start_cell=6,
-        goal_cell=2,
-        obstacle_cells=frozenset({4}),
-        discount=0.9,
-        horizon=15,
-        budget=1,
-        uavs=(UavSpec(waypoints=(4,), detection_accuracy=1.0),),
-    )
+    scenario = tiny_scenario()
     path = str(tmp_path / "tiny.txt")
     write_scenario_file(scenario, path)
     return path

@@ -19,6 +19,7 @@ from pomdp_perception import (
     write_scenario_file,
     write_value_function,
 )
+from helpers import tiny_scenario
 
 NO_UAV_SCENARIO = Scenario(
     width=3, height=2, start_cell=0, goal_cell=5, obstacle_cells=frozenset({1, 4})
@@ -50,20 +51,6 @@ count 2
 0 1.5 -2.0 0.1
 2 0.0 3.0 -1e-300
 """
-
-
-def tiny_scenario() -> Scenario:
-    return Scenario(
-        width=3,
-        height=3,
-        start_cell=6,
-        goal_cell=2,
-        obstacle_cells=frozenset({4}),
-        discount=0.9,
-        horizon=15,
-        budget=1,
-        uavs=(UavSpec(waypoints=(4,), detection_accuracy=1.0),),
-    )
 
 
 def sha256(path) -> str:

@@ -40,23 +40,8 @@ from helpers import (
     oracle_greedy,
     oracle_grid_transition,
     oracle_uav_likelihood,
+    tiny_scenario,
 )
-
-
-def tiny_scenario(**overrides) -> Scenario:
-    defaults = dict(
-        width=3,
-        height=3,
-        start_cell=6,
-        goal_cell=2,
-        obstacle_cells=frozenset({4}),
-        discount=0.9,
-        horizon=15,
-        budget=1,
-        uavs=(UavSpec(waypoints=(4,), detection_accuracy=1.0),),
-    )
-    defaults.update(overrides)
-    return Scenario(**defaults)
 
 
 def lcm12_scenario() -> Scenario:
@@ -400,14 +385,15 @@ def test_episode_reward_accounting(tiny_solution):
         assert len(record.steps) <= scenario.horizon
 
 
-def test_states_do_not_depend_on_perception_policy(tiny_solution):
+def test_states_do_not_depend_on_perception_policy(tiny_solution, monkeypatch):
     scenario, pomdp, vf = tiny_solution
     actions = [RIGHT, RIGHT, UP, UP, LEFT, DOWN, RIGHT, UP, RIGHT, UP] + [STOP] * 5
     trajectories = {}
     for policy, k in (("none", 0), ("random", 1), ("greedy", 1)):
-        record = run_episode(
-            pomdp, vf, scenario, policy, k, seed=99, action_override=actions
-        )
+        # Each episode follows the same scripted actions, whatever it believes.
+        script = iter(actions)
+        monkeypatch.setattr(gridworld, "best_action", lambda vf, belief, script=script: next(script))
+        record = run_episode(pomdp, vf, scenario, policy, k, seed=99)
         trajectories[policy] = [s.state for s in record.steps]
     assert trajectories["none"] == trajectories["random"] == trajectories["greedy"]
 

@@ -14,8 +14,6 @@ from pomdp_perception import (
     Belief,
     BeliefPointSet,
     Pomdp,
-    Scenario,
-    UavSpec,
     ValueFunction,
     backup,
     bench,
@@ -23,12 +21,10 @@ from pomdp_perception import (
     build_pomdp,
     default_scenario,
     initialize_value,
-    point_values,
     prune,
     read_value_function,
     sample_beliefs_uniform,
     solve,
-    value,
     write_value_function,
 )
 from helpers import (
@@ -36,11 +32,14 @@ from helpers import (
     oracle_action_values,
     oracle_backup,
     oracle_one_step_value,
+    oracle_point_values,
     oracle_pool_and_prune,
     oracle_sample_beliefs,
+    oracle_value,
     random_belief,
     random_pomdp,
     select_bench_instance,
+    tiny_scenario,
 )
 
 
@@ -148,18 +147,18 @@ def test_initialize_value_zero_min_reward():
     vf = initialize_value(p)
     assert np.allclose(vf.matrix[0], 0.0)
     for b in (Belief.uniform(2), Belief.point_mass(2, 1)):
-        assert value(vf, b) == 0.0
+        assert oracle_value(vf.matrix, b.probs) == 0.0
 
 
 def test_value_and_best_action_trivia():
     constant = ValueFunction((AlphaVector(np.array([3.0, 3.0]), 2),))
-    assert value(constant, Belief.uniform(2)) == pytest.approx(3.0)
+    assert oracle_value(constant.matrix, Belief.uniform(2).probs) == pytest.approx(3.0)
     assert best_action(constant, Belief.uniform(2)) == 2
 
     two = ValueFunction(
         (AlphaVector(np.array([1.0, 0.0]), 0), AlphaVector(np.array([0.0, 1.0]), 1))
     )
-    assert value(two, Belief.uniform(2)) == pytest.approx(0.5)
+    assert oracle_value(two.matrix, Belief.uniform(2).probs) == pytest.approx(0.5)
 
 
 def test_best_action_tie_keeps_lowest_vector_index():
@@ -178,7 +177,7 @@ def test_value_matches_naive_loop():
     for _ in range(20):
         b = random_belief(rng, 4)
         naive = max(float(a.coeffs @ b.probs) for a in alphas)
-        assert value(vf, b) == pytest.approx(naive, abs=1e-12)
+        assert oracle_value(vf.matrix, b.probs) == pytest.approx(naive, abs=1e-12)
         dots = [float(a.coeffs @ b.probs) for a in alphas]
         assert best_action(vf, b) == alphas[int(np.argmax(dots))].action
 
@@ -228,7 +227,7 @@ def test_backup_discount_zero_returns_best_reward_rows():
         assert np.allclose(coeffs, p.reward[:, action], atol=1e-12)
     for b in map(Belief, points.matrix):
         rewards = [float(b.probs @ p.reward[:, a]) for a in range(4)]
-        assert value(vf, b) == pytest.approx(max(rewards), abs=1e-12)
+        assert oracle_value(vf.matrix, b.probs) == pytest.approx(max(rewards), abs=1e-12)
 
 
 def test_backup_matches_one_step_expansion_oracle():
@@ -240,7 +239,7 @@ def test_backup_matches_one_step_expansion_oracle():
     vf = backup(p, init, points)
     for b in map(Belief, points.matrix):
         expected = oracle_one_step_value(p, b, lambda _: low)
-        assert value(vf, b) == pytest.approx(expected, abs=1e-10)
+        assert oracle_value(vf.matrix, b.probs) == pytest.approx(expected, abs=1e-10)
 
 
 def test_backup_values_improve_monotonically_from_lower_bound():
@@ -249,10 +248,10 @@ def test_backup_values_improve_monotonically_from_lower_bound():
         p = random_pomdp(rng, 4, 3, 3, discount=0.9)
         points = sample_beliefs_uniform(4, 25, seed=seed)
         vf = initialize_value(p)
-        previous = point_values(vf, points)
+        previous = oracle_point_values(vf.matrix, points.matrix)
         for _ in range(30):
             vf = prune(backup(p, vf, points), points)
-            current = point_values(vf, points)
+            current = oracle_point_values(vf.matrix, points.matrix)
             assert np.all(current >= previous - 1e-9)
             previous = current
 
@@ -305,24 +304,8 @@ def test_backup_emits_each_winning_vector_once_in_first_point_order():
     assert_backup_matches_oracle(p, previous, points)
 
 
-def tiny_grid(**overrides) -> Scenario:
-    fields = dict(
-        width=3,
-        height=3,
-        start_cell=6,
-        goal_cell=2,
-        obstacle_cells=frozenset({4}),
-        discount=0.9,
-        horizon=15,
-        budget=1,
-        uavs=(UavSpec(waypoints=(4,), detection_accuracy=1.0),),
-    )
-    fields.update(overrides)
-    return Scenario(**fields)
-
-
 def test_backup_matches_the_plain_loop_on_a_diagonal_plus_uniform_sensor():
-    p = build_pomdp(tiny_grid())
+    p = build_pomdp(tiny_scenario())
     floor, rows, departures = p.sensor_split
     assert rows.shape == (1, 5, 9) and np.all(floor > 0.0) and np.all(departures > 0.0)
     rng = np.random.default_rng(27)
@@ -422,7 +405,7 @@ def test_backup_breaks_action_ties_within_1e_12_to_the_lowest_action():
 
 
 def test_backup_matches_the_plain_loop_on_the_grid_at_corner_beliefs():
-    p = build_pomdp(tiny_grid())
+    p = build_pomdp(tiny_scenario())
     points = sample_beliefs_uniform(9, 50, seed=30)
     dead, scored = dead_pairs(p, points)
     assert dead > 0 and scored > 0
@@ -490,7 +473,7 @@ def test_departing_pairs_kernel_matches_the_whole_score_table(model):
     # score it: the kernel must pick its argmax and report its maximum.
     rng = np.random.default_rng(35)
     if model == "grid":
-        p = build_pomdp(tiny_grid())
+        p = build_pomdp(tiny_scenario())
         previous, points = random_previous(rng, 16, 9, 5), sample_beliefs_uniform(9, 50, 35)
     elif model == "two-rows":
         p = with_zero_transitions(rng, random_pomdp(rng, 5, 3, 3), keep=0.4)
@@ -526,7 +509,7 @@ def stock_backup_input():
 @pytest.mark.parametrize("model", ["grid", "random", "stock"])
 def test_backup_is_bit_identical_whatever_the_tile_shape(model):
     if model == "grid":
-        p = build_pomdp(tiny_grid())
+        p = build_pomdp(tiny_scenario())
         previous, points = random_previous(np.random.default_rng(33), 16, 9, 5), sample_beliefs_uniform(9, 50, 33)
     elif model == "random":
         rng = np.random.default_rng(34)
@@ -632,7 +615,7 @@ def test_backup_skips_only_pairs_that_cannot_win(model):
     # than the tie tolerance below the point's best, so the skip can change
     # neither the best value nor the action the tie rule picks.
     if model == "grid":
-        p = build_pomdp(tiny_grid())
+        p = build_pomdp(tiny_scenario())
         points = sample_beliefs_uniform(p.num_states, 50, seed=36)
     else:
         p = build_pomdp(default_scenario())
@@ -683,7 +666,9 @@ def test_prune_preserves_values_at_all_points(seed, num_vectors, num_states, cop
     vf = ValueFunction.from_arrays(matrix, rng.integers(3, size=len(matrix)))
     points = sample_beliefs_uniform(num_states, int(rng.integers(1, 20)), seed=seed)
     pruned = prune(vf, points)
-    assert np.array_equal(point_values(pruned, points), point_values(vf, points))
+    assert np.array_equal(
+        oracle_point_values(pruned.matrix, points.matrix), oracle_point_values(vf.matrix, points.matrix)
+    )
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -765,7 +750,7 @@ def test_solve_identity_observation_matches_mdp_value_iteration():
     assert result.converged
     exact = mdp_value_iteration(transition, reward, 0.5)
     for s in range(num_states):
-        approx = value(result.value_function, Belief.point_mass(num_states, s))
+        approx = oracle_value(result.value_function.matrix, np.eye(num_states)[s])
         assert approx == pytest.approx(exact[s], abs=1e-3)
 
 
@@ -784,25 +769,25 @@ def test_solve_point_values_never_decrease(seed, grid, discount, accuracy, count
     # backed-up set's, exactly.
     rng = np.random.default_rng(seed)
     if grid:
-        p = build_pomdp(tiny_grid(discount=discount, intrinsic_sensor_accuracy=accuracy))
+        p = build_pomdp(tiny_scenario(discount=discount, intrinsic_sensor_accuracy=accuracy))
     else:
         p = random_pomdp(rng, int(rng.integers(2, 6)), 3, int(rng.integers(2, 5)), discount)
     points = sample_beliefs_uniform(p.num_states, count, seed=seed)
     inputs, outputs = [], []
 
     def recording_backup(pomdp, matrix, bmat):
-        inputs.append(point_values(ValueFunction.from_arrays(matrix, np.zeros(len(matrix))), points))
-        backed_up, actions, skipped = real_backup(pomdp, matrix, bmat)
-        outputs.append(ValueFunction.from_arrays(backed_up, actions))
-        return backed_up, actions, skipped
+        backed_up = real_backup(pomdp, matrix, bmat)
+        inputs.append(oracle_point_values(matrix, points.matrix))
+        outputs.append(oracle_point_values(backed_up[0], points.matrix))
+        return backed_up
 
     real_backup = pbvi._backup
     with mock.patch.object(pbvi, "_backup", recording_backup):
         result = solve(p, points, tol=1e-9, max_iter=150)
-    values = inputs + [point_values(result.value_function, points)]
+    values = inputs + [oracle_point_values(result.value_function.matrix, points.matrix)]
     assert len(values) == result.iterations + 1
     for before, backed_up, after in zip(values, outputs, values[1:]):
-        assert np.array_equal(after, np.maximum(before, point_values(backed_up, points)))
+        assert np.array_equal(after, np.maximum(before, backed_up))
 
 
 # Each model's backup lowers some point's value within 20 iterations, so the
@@ -813,7 +798,7 @@ def test_solve_point_values_never_decrease(seed, grid, discount, accuracy, count
 )
 def test_solve_pools_backed_up_vectors_first_and_keeps_each_points_first_maximum(model):
     if model == "grid":
-        p = build_pomdp(tiny_grid(discount=0.7, intrinsic_sensor_accuracy=0.8))
+        p = build_pomdp(tiny_scenario(discount=0.7, intrinsic_sensor_accuracy=0.8))
         points = sample_beliefs_uniform(p.num_states, 40, seed=7)
     else:
         rng = np.random.default_rng(model[0])
@@ -873,7 +858,8 @@ def test_represented_value_function_is_convex():
         b1, b2 = random_belief(rng, 4), random_belief(rng, 4)
         lam = float(rng.random())
         mix = Belief(lam * b1.probs + (1 - lam) * b2.probs)
-        assert value(vf, mix) <= lam * value(vf, b1) + (1 - lam) * value(vf, b2) + 1e-9
+        mixed = lam * oracle_value(vf.matrix, b1.probs) + (1 - lam) * oracle_value(vf.matrix, b2.probs)
+        assert oracle_value(vf.matrix, mix.probs) <= mixed + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ from pomdp_perception import (
     ZeroLikelihoodObservation,
     belief_update_auxiliary,
     belief_update_intrinsic,
-    expected_immediate_reward,
-    observation_probability,
     read_pomdp_file,
     write_pomdp_file,
 )
@@ -20,7 +18,6 @@ from pomdp_perception.pomdp import _check_stochastic
 from helpers import (
     oracle_chained_update,
     oracle_intrinsic_update,
-    oracle_joint_state_obs,
     oracle_product_likelihood_update,
     random_belief,
     random_pomdp,
@@ -329,60 +326,6 @@ def test_chained_intrinsic_plus_auxiliary_matches_single_product_bayes():
         slices = [src.likelihood[:, a, :] for src in sources]
         expected = oracle_chained_update(p, b, a, w, slices, syms)
         assert np.allclose(chained.probs, expected, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Observation probability and expected reward
-# ---------------------------------------------------------------------------
-
-
-def test_observation_probability_uniform_sensor():
-    n, m = 3, 4
-    rng = np.random.default_rng(6)
-    p = Pomdp(
-        transition=rng.dirichlet(np.ones(n), size=(n, 2)),
-        observation=np.full((n, 2, m), 1.0 / m),
-        reward=np.zeros((n, 2)),
-        discount=0.5,
-    )
-    b = random_belief(rng, n)
-    for w in range(m):
-        assert observation_probability(p, b, 0, w) == pytest.approx(1.0 / m)
-
-
-def test_observation_probability_deterministic_chain():
-    p = identity_obs_pomdp()
-    b = Belief.point_mass(2, 1)
-    assert observation_probability(p, b, 0, 1) == pytest.approx(1.0)
-    assert observation_probability(p, b, 0, 0) == pytest.approx(0.0)
-
-
-def test_observation_probability_matches_oracle_and_sums_to_one():
-    rng = np.random.default_rng(7)
-    for _ in range(30):
-        p = random_pomdp(rng, 4, 2, 5)
-        b = random_belief(rng, 4)
-        a = int(rng.integers(2))
-        joint = oracle_joint_state_obs(p, b, a)
-        probs = [observation_probability(p, b, a, w) for w in range(5)]
-        assert np.allclose(probs, joint.sum(axis=0), atol=1e-12)
-        assert abs(sum(probs) - 1.0) <= 1e-9
-
-
-def test_expected_immediate_reward():
-    reward = np.array([[10.0, 1.0], [-5.0, 2.0]])
-    p = Pomdp(
-        transition=np.repeat(np.eye(2)[:, None, :], 2, axis=1),
-        observation=np.repeat(np.eye(2)[:, None, :], 2, axis=1),
-        reward=reward,
-        discount=0.9,
-    )
-    assert expected_immediate_reward(p, Belief.point_mass(2, 0), 0) == pytest.approx(10.0)
-    assert expected_immediate_reward(p, Belief.uniform(2), 0) == pytest.approx(2.5)
-    rng = np.random.default_rng(8)
-    b = random_belief(rng, 2)
-    expected = sum(b.probs[s] * reward[s, 1] for s in range(2))
-    assert expected_immediate_reward(p, b, 1) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
