@@ -18,6 +18,7 @@ from pomdp_perception.pomdp import _check_stochastic
 from helpers import (
     oracle_chained_update,
     oracle_intrinsic_update,
+    oracle_joint_state_obs,
     oracle_product_likelihood_update,
     random_belief,
     random_pomdp,
@@ -326,6 +327,93 @@ def test_chained_intrinsic_plus_auxiliary_matches_single_product_bayes():
         slices = [src.likelihood[:, a, :] for src in sources]
         expected = oracle_chained_update(p, b, a, w, slices, syms)
         assert np.allclose(chained.probs, expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Total probability: the posteriors, weighted by how likely their evidence is,
+# average back to the belief they came from
+# ---------------------------------------------------------------------------
+
+
+def sparse_rows(rng, shape) -> np.ndarray:
+    """Dirichlet rows over the last axis with about a third of the entries
+    set to exact zeros; each row keeps its largest entry."""
+    rows = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    keep = (rng.random(shape) > 1.0 / 3.0) | (rows == rows.max(axis=-1, keepdims=True))
+    rows = np.where(keep, rows, 0.0)
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+def test_intrinsic_posteriors_averaged_over_observations_give_the_prediction():
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        p = random_pomdp(rng, 4, 2, 5)
+        b = random_belief(rng, 4)
+        a = int(rng.integers(2))
+        obs_probs = oracle_joint_state_obs(p, b, a).sum(axis=0)
+        assert abs(obs_probs.sum() - 1.0) <= 1e-12
+        average = sum(
+            obs_probs[w] * belief_update_intrinsic(p, b, a, w).probs for w in range(5)
+        )
+        assert np.allclose(average, b.probs @ p.transition[:, a, :], atol=1e-12)
+
+
+def test_intrinsic_update_raises_exactly_on_observations_of_zero_probability():
+    rng = np.random.default_rng(7)
+    raised = 0
+    for _ in range(30):
+        n, num_actions, m = 4, 2, 4
+        p = Pomdp(
+            transition=sparse_rows(rng, (n, num_actions, n)),
+            observation=sparse_rows(rng, (n, num_actions, m)),
+            reward=np.zeros((n, num_actions)),
+            discount=0.9,
+        )
+        b = Belief(sparse_rows(rng, (n,)))
+        a = int(rng.integers(num_actions))
+        obs_probs = oracle_joint_state_obs(p, b, a).sum(axis=0)
+        average = np.zeros(n)
+        for w in range(m):
+            if obs_probs[w] == 0.0:
+                raised += 1
+                with pytest.raises(ZeroLikelihoodObservation):
+                    belief_update_intrinsic(p, b, a, w)
+            else:
+                average += obs_probs[w] * belief_update_intrinsic(p, b, a, w).probs
+        assert np.allclose(average, b.probs @ p.transition[:, a, :], atol=1e-12)
+    assert raised > 0
+
+
+def test_auxiliary_posteriors_averaged_over_reports_give_the_prior():
+    rng = np.random.default_rng(8)
+    raised = 0
+    for _ in range(30):
+        n, num_actions = 4, 3
+        sources = random_sparse_sources(rng, n, num_actions, 2)
+        b = Belief(sparse_rows(rng, (n,)))
+        a = int(rng.integers(num_actions))
+        selected = PerceptionAction((0, 1))
+        average = np.zeros(n)
+        total = 0.0
+        for y0 in range(sources[0].num_symbols):
+            for y1 in range(sources[1].num_symbols):
+                p_report = sum(
+                    b.probs[s]
+                    * sources[0].likelihood[s, a, y0]
+                    * sources[1].likelihood[s, a, y1]
+                    for s in range(n)
+                )
+                total += p_report
+                if p_report == 0.0:
+                    raised += 1
+                    with pytest.raises(ZeroLikelihoodObservation):
+                        belief_update_auxiliary(b, a, selected, sources, (y0, y1))
+                else:
+                    posterior = belief_update_auxiliary(b, a, selected, sources, (y0, y1))
+                    average += p_report * posterior.probs
+        assert abs(total - 1.0) <= 1e-12
+        assert np.allclose(average, b.probs, atol=1e-12)
+    assert raised > 0
 
 
 # ---------------------------------------------------------------------------
