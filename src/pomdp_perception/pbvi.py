@@ -24,14 +24,23 @@ rounding margin is never the point's choice, so it is not scored there, and
 every result is the one scoring it would give.  `solve` iterates backups, on
 bare arrays, under the Perseus acceptance rule, a prune of the backed-up and
 current sets pooled, so point values never fall and the iteration
-converges.  Points are sampled once up front and never adapted: the
-auxiliary observation channels available at runtime are unknown when the
-plan is computed, so the sampler covers the whole simplex instead of chasing
-reachable beliefs.
+converges.  A solve builds one backup context before its first backup: the
+tables that stay fixed while the model and the points do (the reach tables
+N_a = discount * B T_a, R . b, and which (point, observation) pairs each
+action's departures can reach), and scratch buffers as large as a backup of
+at most B vectors needs, which every backup writes into with numpy `out=`.
+So no backup allocates its large temporaries, and none are freed, trimmed
+off the heap and faulted in again: on the stock map with 165 points a solve
+takes about 500 minor page faults, where it took 78,000-175,000 when each
+backup allocated its own.  Points are sampled once up front and never
+adapted: the auxiliary observation channels available at runtime are
+unknown when the plan is computed, so the sampler covers the whole simplex
+instead of chasing reachable beliefs.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -54,10 +63,15 @@ from .pomdp import (
 
 # Elements of scratch space `backup` scores in at once: a block of
 # (action, observation) pairs over all B points, (pairs, B, max(K, S)), or a
-# tile of (observations, points, K) scores.  One pair of the stock map at 165
-# points (27k) fits, and so do all pairs of a select-bench model at once;
+# tile of (observations, points, K) scores, whose buffer a backup context
+# keeps, as it keeps the one for (pair, K) rows.  One pair of the stock map at
+# 165 points (27k) fits, and so do all pairs of a select-bench model at once;
 # larger blocks ran no faster on the stock map and raised the solve's peak
-# memory.
+# memory.  Tiles are walked point group by point group, each group over every
+# observation: at paper scale (K about 2,000) a tile is one observation of 16
+# points, and the group's 260 KB of shared rows then stay in L2 across the 64
+# observations, where an observation-major walk read all of an action's
+# shared rows (about 33 MB) from L3 once per observation.
 _BLOCK_ELEMENTS = 1 << 15
 
 # Relative rounding margin of the action bounds that let `backup` skip a
@@ -196,15 +210,19 @@ def best_action(vf: ValueFunction, belief: Belief) -> int:
     return int(vf.actions[int(np.argmax(vf.matrix @ belief.probs))])
 
 
-def _dot_table(matrix: np.ndarray, points: BeliefPointSet) -> np.ndarray:
-    """(num points, num vectors) dot products with the rows of `matrix`.
+def _dot_table(matrix: np.ndarray, points: BeliefPointSet, out: np.ndarray | None = None) -> np.ndarray:
+    """(num points, num vectors) dot products with the rows of `matrix`,
+    written, if `out` (num vectors, num points) is given, into its rows.
 
     Each column is a matvec against one vector, one `np.matmul` broadcast
     over the vectors, so its rounding never depends on which other vectors
     are in the set: pruning preserves point values bit-for-bit, and `solve`
-    carries a vector's column across backups, equal to one computed again.
+    carries a vector's dot products across backups, equal to ones computed
+    again.
     """
-    return np.matmul(points.matrix, matrix[:, :, None])[:, :, 0].T
+    if out is not None:
+        out = out.reshape(len(matrix), -1, 1)
+    return np.matmul(points.matrix, matrix[:, :, None], out=out)[:, :, 0].T
 
 
 def backup(pomdp: Pomdp, previous: ValueFunction, points: BeliefPointSet) -> ValueFunction:
@@ -238,7 +256,8 @@ def backup(pomdp: Pomdp, previous: ValueFunction, points: BeliefPointSet) -> Val
     per action are such.  Points that reach a departing row at every
     observation are scored in (observations, points, K) tiles within
     _BLOCK_ELEMENTS (at paper scale, K about 2,000, one observation and 16
-    points), the other points' departing pairs one (pair, K) row each.
+    points), walked point-major so a group's shared rows stay in cache, the
+    other points' departing pairs one (pair, K) row each.
     Where every point reaches every state (a dense random model, such as a
     select-bench one), where one block holds all pairs, or where K = 1, all
     pairs are scored as before, in (action, observation) blocks as large as
@@ -271,23 +290,97 @@ def backup(pomdp: Pomdp, previous: ValueFunction, points: BeliefPointSet) -> Val
     errors while S + W (m + 2) stays below about 10^6.  So a skipped pair's
     computed value lies more than 1e-12 below the computed best: the tie
     rule never picks it, and the best is that of a pair that is scored.
+
+    Each call builds a fresh backup context (`_BackupContext`), the tables
+    and scratch that `solve` builds once for all of its backups.  Points or
+    a value function whose state count differs from the model's are refused
+    with a ValueError that names both counts.
     """
-    matrix, actions, _ = _backup(pomdp, previous.matrix, points.matrix)
+    if previous.num_states != pomdp.num_states:
+        raise ValueError(f"value function has {previous.num_states} states, the model {pomdp.num_states}")
+    context = _BackupContext(pomdp, points.matrix, len(previous))
+    matrix, actions, _ = _backup(pomdp, previous.matrix, context)
     return ValueFunction.from_arrays(matrix, actions)
 
 
-def _backup(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """`backup` on bare arrays: previous vectors (K, S) and points (B, S) in,
-    the backed-up (matrix, actions) out, unvalidated, with the number of
-    (point, action) pairs the action bounds skipped."""
-    value_ba, winners = _best_responses(pomdp, prev, bmat)
+class _BackupContext:
+    """What every backup over one point set (B, S) shares.
+
+    The tables stay fixed while the points and the model do: the reach
+    tables N_a = discount * B T_a (A, B, S'), the immediate values R . b
+    (B, A), whether each N_a is nonzero everywhere, and which (point,
+    observation) pairs some departure term of action a can reach: `full`
+    (A, B) marks the points that reach one at every observation, and
+    `pairs[a]` lists the other points' pairs that do, in (point,
+    observation) order.  The scratch outlives a backup, so consecutive
+    backups write into the same memory rather than allocating and freeing
+    it each time; a backup reads none of it before writing it.  It is made
+    for backups of at most `vectors` previous vectors, and grows for one of
+    more.  Gathering an action's departure columns N_a(b, rows[j, a, w])
+    costs a strided copy per backup, so they are not kept: at 165 points
+    that table is as large as the reach tables.
+    """
+
+    def __init__(self, pomdp: Pomdp, bmat: np.ndarray, vectors: int) -> None:
+        if bmat.shape[1] != pomdp.num_states:
+            raise ValueError(f"belief points have {bmat.shape[1]} states, the model {pomdp.num_states}")
+        self.points = bmat
+        self.floor, self.rows, self.departures = pomdp.sensor_split
+        self.reach = pomdp.discount * (bmat @ pomdp.transition.transpose(1, 0, 2))   # (A, B, S')
+        self.reward_values = bmat @ pomdp.reward                                     # (B, A)
+        picked = self.reach[np.arange(pomdp.num_actions)[:, None], :, self.rows]      # (m, A, W, B)
+        live = ((picked != 0.0) & (self.departures[..., None] != 0.0)).any(axis=0)  # (A, W, B)
+        self.full = live.all(axis=1)                                                  # (A, B)
+        self.pairs = [np.nonzero((live[a] & ~self.full[a]).T) for a in range(pomdp.num_actions)]
+        self.dense = (self.reach != 0.0).all(axis=(1, 2))                             # (A,)
+        # Scratch of a size the model and the points fix: the values (B, A),
+        # the winners (A, B, W) and the winning scores (A, B, W) of every
+        # action, the lower bounds (A, B) and one action's departure
+        # columns (m, W, B).
+        num_points, num_actions, num_obs = len(bmat), pomdp.num_actions, pomdp.num_observations
+        m = len(self.rows)
+        self.values = np.empty((num_points, num_actions))
+        self.winners = np.empty((num_actions, num_points, num_obs), np.int32)
+        self.won = np.empty((num_actions, num_points, num_obs))
+        self.lower = np.empty((num_actions, num_points))
+        self.columns = np.empty((m, num_obs, num_points))
+        # The buffers whose size follows K, or the points a skip leaves, are
+        # made at once as large as a backup of `vectors` previous vectors can
+        # need, so consecutive backups never free one and fault it in again.
+        self._buffers: dict[str, np.ndarray] = {}
+        block = min(max(_BLOCK_ELEMENTS, vectors), num_obs * num_points * vectors)
+        for name, size in (
+            ("shared", num_points * vectors),
+            ("scaled", max(pomdp.num_states, m * num_obs) * vectors),
+            ("scores", block),
+            ("gathered", max(m * block, num_points * num_obs)),
+            ("picked", m * num_obs * num_points),
+        ):
+            self.scratch(name, (size,))
+        self.scratch("best", (num_obs * num_points,), np.intp)
+
+    def scratch(self, name: str, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
+        """A C-contiguous `shape` view of buffer `name`, grown when too small;
+        its contents are whatever the last user left."""
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+
+def _backup(pomdp: Pomdp, prev: np.ndarray, context: _BackupContext) -> tuple[np.ndarray, np.ndarray, int]:
+    """`backup` on bare arrays: previous vectors (K, S) in, with the context
+    of the points, the backed-up (matrix, actions) out, unvalidated, with the
+    number of (point, action) pairs the action bounds skipped."""
+    value_ba, winners = _best_responses(pomdp, prev, context)
     best_a = _first_within_tol(value_ba)
     first: dict[tuple[int, bytes], int] = {}
     for b, a in enumerate(best_a.tolist()):
         first.setdefault((a, winners[a, b].tobytes()), b)
     keep = np.fromiter(first.values(), dtype=int, count=len(first))
     tags = best_a[keep]
-    sums = _winner_sums(pomdp, prev, winners[tags, keep], tags)
+    sums = _winner_sums(context, prev, winners[tags, keep], tags)
     matrix = np.empty_like(sums)
     for a in np.unique(tags).tolist():
         mine = tags == a
@@ -296,50 +389,56 @@ def _backup(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarra
     return matrix, tags, np.count_nonzero(value_ba == -np.inf)
 
 
-def _best_responses(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per point and action, the backed-up value (B, A) and, per observation,
-    the index of the winning previous vector (A, B, W).  On the departing-
-    pairs path a pair whose upper bound falls below the point's best lower
-    bound by more than the tie tolerance and a rounding margin is skipped:
-    its value is -inf and its winners are left unscored."""
+def _best_responses(pomdp: Pomdp, prev: np.ndarray, context: _BackupContext) -> tuple[np.ndarray, np.ndarray]:
+    """Per point of the context and action, the backed-up value (B, A) and,
+    per observation, the index of the winning previous vector (A, B, W),
+    both in the context's scratch.  On the departing-pairs path a pair whose
+    upper bound falls below the point's best lower bound by more than the
+    tie tolerance and a rounding margin is skipped: its value is -inf and
+    its winners are left unscored."""
     num_actions = pomdp.num_actions
     num_obs = pomdp.num_observations
-    num_points, num_states = bmat.shape
-    pairs = max(_BLOCK_ELEMENTS // (num_points * max(len(prev), num_states)), 1)
+    num_points, num_states = context.points.shape
+    num_vectors = len(prev)
+    pairs = max(_BLOCK_ELEMENTS // (num_points * max(num_vectors, num_states)), 1)
     obs_step = min(pairs, num_obs)
     action_step = max(pairs // num_obs, 1)
-    floor, rows, departures = pomdp.sensor_split
-    value_ba = bmat @ pomdp.reward
-    winners = np.empty((num_actions, num_points, num_obs), dtype=np.int32)
-    blocks = [slice(a0, a0 + action_step) for a0 in range(0, num_actions, action_step)]
-    transitions = pomdp.transition.transpose(1, 0, 2)                              # (A, S, S')
-    reaches = [pomdp.discount * (bmat @ transitions[acts]) for acts in blocks]    # (a, B, S')
+    floor, rows, departures = context.floor, context.rows, context.departures
+    value_ba, winners = context.values, context.winners
+    value_ba[:] = context.reward_values
+    blocks = [slice(a0, min(a0 + action_step, num_actions)) for a0 in range(0, num_actions, action_step)]
     # Where one block holds every pair, or K = 1, or every point reaches
     # every state, all pairs are scored block by block; elsewhere per
     # action, departing pairs only, of the actions the bounds leave in play.
-    every_pair = action_step >= num_actions or len(prev) == 1
+    every_pair = action_step >= num_actions or num_vectors == 1
     if not every_pair:
-        lower = np.concatenate([(reach @ prev.T).max(axis=2) for reach in reaches])   # (A, B)
+        lower = context.lower
+        table = context.scratch("shared", (num_points, num_vectors))
+        for a in range(num_actions):
+            np.matmul(context.reach[a], prev.T, out=table).max(axis=1, out=lower[a])
         margin = _TIE_TOL + _ROUNDING * (1.0 + np.abs(pomdp.reward).max() + np.abs(prev).max())
         bar = (value_ba + lower.T).max(axis=1) - margin
         tops = prev.max(axis=0)[rows] * departures                                   # (m, A, W)
-    for acts, reach in zip(blocks, reaches):
-        shared = reach @ (prev * floor.T[acts, None, :]).transpose(0, 2, 1)      # (a, B, K)
-        ranks = np.arange(len(reach))[:, None]
-        if not (every_pair or np.count_nonzero(reach) == reach.size):
+    for acts in blocks:
+        reach = context.reach[acts]
+        if not (every_pair or context.dense[acts].all()):
             # value_ba holds R . b in this block's columns until it is scored.
-            departing = np.einsum("mawb,maw->ab", reach[ranks, :, rows[:, acts]], tops[:, acts])
-            upper = value_ba[:, acts].T + num_obs * shared.max(axis=2) + departing
-            beaten = upper < bar                                                  # (a, B)
-            won = np.empty((len(reach), num_points, num_obs))
-            for i, a in enumerate(range(acts.start, acts.start + len(reach))):
-                _score_departing_pairs(
-                    reach[i], shared[i], prev, rows[:, a], departures[:, a],
-                    winners[a], won[i], beaten[i],
-                )
+            won = context.won[: len(reach)]
+            beaten = np.empty((len(reach), num_points), dtype=bool)
+            for i, a in enumerate(range(acts.start, acts.stop)):
+                picked = np.take(reach[i].T, rows[:, a], axis=0, out=context.columns, mode="clip")
+                scaled = np.multiply(prev, floor[:, a], out=context.scratch("scaled", prev.shape))
+                shared = context.scratch("shared", (num_points, num_vectors))
+                np.matmul(reach[i], scaled.T, out=shared)                                # (B, K)
+                departing = np.einsum("mwb,mw->b", picked, tops[:, a])
+                upper = value_ba[:, a] + num_obs * shared.max(axis=1) + departing
+                np.less(upper, bar, out=beaten[i])
+                _score_departing_pairs(context, a, picked, shared, prev, winners[a], won[i], beaten[i])
             value_ba[:, acts] += won.sum(axis=2).T
             value_ba[:, acts][beaten.T] = -np.inf
             continue
+        shared = reach @ (prev * floor.T[acts, None, :]).transpose(0, 2, 1)      # (a, B, K)
+        ranks = np.arange(len(reach))[:, None]
         for w0 in range(0, num_obs, obs_step):
             ws = slice(w0, w0 + obs_step)
             picked = reach[ranks, :, rows[:, acts, ws]]                           # (m, a, w, B)
@@ -347,65 +446,82 @@ def _best_responses(pomdp: Pomdp, prev: np.ndarray, bmat: np.ndarray) -> tuple[n
             scores = np.einsum("mawb,mawk->awbk", picked, weights)
             scores += shared[:, None]                                             # (a, w, B, K)
             best = scores.argmax(axis=3)                                          # (a, w, B)
-            won = scores.reshape(-1, len(prev))[np.arange(best.size), best.ravel()]
+            won = scores.reshape(-1, num_vectors)[np.arange(best.size), best.ravel()]
             value_ba[:, acts] += won.reshape(best.shape).sum(axis=1).T
             winners[acts, :, ws] = best.transpose(0, 2, 1)
     return value_ba, winners
 
 
-def _score_departing_pairs(reach, shared, prev, rows, departures, winners, won, skip=None):
-    """Fill one action's winners (B, W) and winning scores `won` (B, W).
+def _score_departing_pairs(context, a, picked, shared, prev, winners, won, skip=None):
+    """Fill action a's winners (B, W) and winning scores `won` (B, W).
 
-    reach (B, S') and shared (B, K) are the action's N_a and shared term,
-    rows and departures (m, W) its sensor departures.  A pair none of whose
+    picked (m, W, B) holds the action's departure columns N_a(b, rows[j, w])
+    and shared (B, K) its shared term; its sensor rows, the liveness of its
+    pairs and the scratch come from `context`.  A pair none of whose
     departure terms can be nonzero takes the shared argmax, and so does
     every pair of a point where `skip` (B,) is set, whose scores go unread;
     points that depart at every observation are scored in (observations,
     points, K) tiles, the other points' departing pairs one (pair, K) row
-    each.  The
-    winning scores are then formed again for the winners alone, one way for
-    every pair, whichever kernel picked its winner: the products summed over
+    each.  Tiles are walked point group by point group, each group over
+    every observation, so the group's shared rows stay in cache.  The winning
+    scores are then formed again for the winners alone, one way for every
+    pair, whichever kernel picked its winner: the products summed over
     departing rows in row order, then the shared term added.
     """
-    num_obs, num_vectors = rows.shape[1], len(prev)
-    picked = reach[:, rows].transpose(1, 0, 2)                                # (m, B, W)
-    live = ((picked != 0.0) & (departures[:, None] != 0.0)).any(axis=0)      # (B, W)
+    rows, departures = context.rows[:, a], context.departures[:, a]
+    (num_points, num_obs), num_vectors = winners.shape, len(prev)
+    full, (at_b, at_w) = context.full[a], context.pairs[a]
     if skip is not None:
-        live &= ~skip[:, None]
-    weights = prev.T[rows] * departures[:, :, None]                           # (m, W, K)
+        full = full & ~skip
+        unskipped = ~skip[at_b]
+        at_b, at_w = at_b[unskipped], at_w[unskipped]
+    weights = context.scratch("scaled", rows.shape + (num_vectors,))        # (m, W, K)
+    np.take(prev.T, rows, axis=0, out=weights, mode="clip")
+    weights *= departures[:, :, None]
     winners[:] = shared.argmax(axis=1)[:, None]
     # One departing row (the grid's sensor) makes each score an outer product.
     if len(rows) == 1:
         tile_spec, pair_spec, by_row, per_row = "wp,wk->wpk", "n,nk->nk", picked[0], weights[0]
     else:
         tile_spec, pair_spec, by_row, per_row = "mwp,mwk->wpk", "mn,mnk->nk", picked, weights
-    full = live.all(axis=1)
     everywhere = np.flatnonzero(full)
     if everywhere.size:
-        picked_f = np.ascontiguousarray(by_row[..., everywhere, :].swapaxes(-1, -2))  # (m, W, F)
-        shared_f = shared[everywhere]
-        best_f = np.empty((num_obs, everywhere.size), dtype=np.intp)
+        picked_f = context.scratch("picked", by_row.shape[:-1] + everywhere.shape)   # (m, W, F)
+        np.take(by_row, everywhere, axis=-1, out=picked_f, mode="clip")
+        best_f = context.scratch("best", (num_obs, everywhere.size), np.intp)
         point_step, obs_step = _tile_shape(everywhere.size, num_obs, num_vectors)
-        for w0 in range(0, num_obs, obs_step):
-            ws = slice(w0, w0 + obs_step)
-            for p0 in range(0, everywhere.size, point_step):
-                ps = slice(p0, p0 + point_step)
-                scores = np.einsum(tile_spec, picked_f[..., ws, ps], per_row[..., ws, :])
-                scores += shared_f[ps]                                        # (w, p, K)
+        tiles = context.scratch("scores", (min(obs_step, num_obs) * min(point_step, everywhere.size) * num_vectors,))
+        group_rows = context.scratch("gathered", (min(point_step, everywhere.size) * num_vectors,))
+        for p0 in range(0, everywhere.size, point_step):
+            ps = slice(p0, p0 + point_step)
+            group = everywhere[ps]
+            shared_g = group_rows[: group.size * num_vectors].reshape(group.size, num_vectors)
+            np.take(shared, group, axis=0, out=shared_g, mode="clip")
+            for w0 in range(0, num_obs, obs_step):
+                ws = slice(w0, w0 + obs_step)
+                scores = tiles[: min(obs_step, num_obs - w0) * shared_g.size]
+                scores = scores.reshape(-1, group.size, num_vectors)
+                np.einsum(tile_spec, picked_f[..., ws, ps], per_row[..., ws, :], out=scores)
+                scores += shared_g                                            # (w, p, K)
                 scores.argmax(axis=2, out=best_f[ws, ps])
         winners[everywhere] = best_f.T
-    at_b, at_w = np.nonzero(live & ~full[:, None])
     step = max(_BLOCK_ELEMENTS // num_vectors, 1)
     for n0 in range(0, at_b.size, step):
         b, w = at_b[n0 : n0 + step], at_w[n0 : n0 + step]
-        scores = np.einsum(pair_spec, by_row[..., b, w], per_row[..., w, :])
-        scores += shared[b]                                                   # (n, K)
+        gathered = context.scratch("gathered", per_row.shape[:-2] + (b.size, num_vectors))
+        np.take(per_row, w, axis=-2, out=gathered, mode="clip")
+        scores = context.scratch("scores", (b.size, num_vectors))
+        np.einsum(pair_spec, by_row[..., w, b], gathered, out=scores)
+        scores += np.take(shared, b, axis=0, out=context.scratch("gathered", scores.shape), mode="clip")
         winners[b, w] = scores.argmax(axis=1)
-    flat = winners + np.arange(num_obs) * num_vectors                         # into (W, K)
-    term = picked[0] * np.take(weights[0], flat)
+    flat = context.scratch("best", winners.shape, np.intp)                   # into (W, K)
+    np.add(winners, np.arange(num_obs) * num_vectors, out=flat)
+    term = context.scratch("gathered", winners.shape)
+    np.multiply(picked[0].T, np.take(weights[0], flat, out=term, mode="clip"), out=won)
     for j in range(1, len(rows)):
-        term += picked[j] * np.take(weights[j], flat)
-    won[:] = term + np.take(shared, winners + np.arange(len(shared))[:, None] * num_vectors)
+        won += np.multiply(picked[j].T, np.take(weights[j], flat, out=term, mode="clip"), out=term)
+    np.add(winners, np.arange(num_points)[:, None] * num_vectors, out=flat)  # into (B, K)
+    won += np.take(shared, flat, out=term, mode="clip")
 
 
 def _tile_shape(num_points: int, num_obs: int, num_vectors: int) -> tuple[int, int]:
@@ -416,18 +532,22 @@ def _tile_shape(num_points: int, num_obs: int, num_vectors: int) -> tuple[int, i
     return max(_BLOCK_ELEMENTS // (obs_step * num_vectors), 1), obs_step
 
 
-def _winner_sums(pomdp: Pomdp, prev: np.ndarray, winners: np.ndarray, tags: np.ndarray) -> np.ndarray:
+def _winner_sums(context: _BackupContext, prev: np.ndarray, winners: np.ndarray, tags: np.ndarray) -> np.ndarray:
     """Z(b) = sum_w prev[winners[b, w]] * O(., tags[b], w) per kept point, (n, S').
 
     Z = u * (counts @ prev) + the departures, where counts[b, k] is the
-    number of observations vector k wins for b.  `np.bincount` sums the
-    departures that land on one row, which a fancy-index += would drop.
+    number of observations vector k wins for b, tallied in the context's
+    shared-term buffer, which is free once the winners are known.
+    `np.bincount` sums the departures that land on one row, which a
+    fancy-index += would drop.
     """
-    floor, rows, departures = pomdp.sensor_split
+    floor, rows, departures = context.floor, context.rows, context.departures
     (n, _), (num_vectors, num_states) = winners.shape, prev.shape
     serial = np.arange(n)[:, None]
-    counts = np.bincount((serial * num_vectors + winners).ravel(), minlength=n * num_vectors)
-    sums = floor[:, tags].T * (counts.reshape(n, num_vectors) @ prev)
+    counts = context.scratch("shared", (n, num_vectors))
+    counts.fill(0.0)
+    np.add.at(counts.reshape(-1), (serial * num_vectors + winners).ravel(), 1.0)
+    sums = floor[:, tags].T * (counts @ prev)
     spots = serial * num_states + rows[:, tags]                                   # (m, n, W)
     terms = prev[winners, rows[:, tags]] * departures[:, tags]
     sums += np.bincount(spots.ravel(), terms.ravel(), n * num_states).reshape(n, num_states)
@@ -487,11 +607,26 @@ def solve(
     its current winning vector, which Perseus keeps.  So
     V_t(b) = max(V_{t-1}(b), backed-up value at b) at every sampled point:
     the values rise from the lower bound and are bounded above, so they
-    converge, and plain PBVI's cycling between two sets cannot occur.  The
-    point x vector dot table is carried from one iteration to the next:
-    each one computes only the backed-up set's columns.  The loop runs on
-    bare (matrix, actions) arrays; the result is validated once, and its
-    `history` records each iteration (`BackupRecord`).
+    converge, and plain PBVI's cycling between two sets cannot occur.  Each
+    point's value and the position of its first maximizing vector are
+    carried from one iteration to the next, so each computes only the
+    backed-up set's dot products: a point's first maximum over the pool is
+    the backed-up set's first maximum where that ties or beats the point's
+    value, else the vector it already had.  The loop runs on bare (matrix,
+    actions) arrays; the result is validated once, and its `history`
+    records each iteration (`BackupRecord`).
+
+    One backup context (`_BackupContext`) is built before the first backup
+    and passed to every one: it holds the tables that stay fixed for the
+    solve (N_a = discount * B T_a, R . b, the departing pairs' liveness) and
+    the scratch each backup writes into (winners, values, one (B, K) buffer
+    for the lower bounds and the shared term, the tile and pair score
+    buffers, the weights and the winning scores), made once for at most B
+    vectors, since no backup here takes more; the backed-up set's dot
+    products are written into the shared-term buffer too.  So a backup
+    allocates nothing large, and a solve's results are the ones fresh
+    buffers would give.  Points whose state count differs from the model's
+    are refused with a ValueError.
 
     Stops when the summed V_t(b) - V_{t-1}(b) over the sampled points drops
     below `tol` (converged=True, `iterations` backups ran) or after
@@ -506,21 +641,34 @@ def solve(
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    # A backup emits at most one vector per point and the acceptance keeps at
+    # most one per point, so no backup here takes more than B vectors.
+    num_points = len(points)
+    context = _BackupContext(pomdp, points.matrix, num_points)
     start = initialize_value(pomdp)
     matrix, actions = start.matrix, start.actions
-    table = _dot_table(matrix, points)
-    values = table.max(axis=1)
+    # Each point's value, and the position of its first maximizing vector in
+    # the current set, which becomes its position in the pool once offset
+    # past the backed-up vectors.
+    values = _dot_table(matrix, points)[:, 0]
+    owner, every = np.zeros(num_points, dtype=np.intp), np.arange(num_points)
     delta = np.inf
     history = []
     for iteration in range(1, max_iter + 1):
         began, k_in = time.perf_counter(), len(matrix)
-        new_matrix, new_actions, skipped = _backup(pomdp, matrix, points.matrix)
-        table = np.concatenate((_dot_table(new_matrix, points), table), axis=1)
-        winners = np.unique(table.argmax(axis=1))
-        table = table[:, winners]
-        matrix = np.concatenate((new_matrix, matrix))[winners]
-        actions = np.concatenate((new_actions, actions))[winners]
-        previous, values = values, table.max(axis=1)
+        new_matrix, new_actions, skipped = _backup(pomdp, matrix, context)
+        fresh = len(new_matrix)
+        dots = context.scratch("shared", (fresh, num_points))
+        _dot_table(new_matrix, points, out=dots)
+        first = dots.argmax(axis=0)
+        best = dots[first, every]
+        owner += fresh
+        np.copyto(owner, first, where=best >= values)
+        kept = np.unique(owner)
+        owner = np.searchsorted(kept, owner)
+        previous, values = values, np.maximum(best, values)
+        matrix = np.concatenate((new_matrix, matrix))[kept]
+        actions = np.concatenate((new_actions, actions))[kept]
         delta = float(np.abs(values - previous).sum())
         history.append(BackupRecord(delta, k_in, len(matrix), time.perf_counter() - began, skipped))
         if delta < tol:

@@ -1,6 +1,7 @@
 """Planner: belief sampling, backups, pruning, convergence, serialization."""
 
 import dataclasses
+import functools
 from unittest import mock
 
 import numpy as np
@@ -492,7 +493,7 @@ def test_departing_pairs_kernel_matches_the_whole_score_table(model):
         scores = np.einsum("mwb,mwk->wbk", picked, weights) + shared
         winners = np.empty((num_points, p.num_observations), dtype=np.int32)
         won = np.empty(winners.shape)
-        pbvi._score_departing_pairs(reach, shared, prev, rows[:, a], departures[:, a], winners, won)
+        pbvi._score_departing_pairs(pbvi._BackupContext(p, points.matrix, len(prev)), a, picked, shared, prev, winners, won)
         assert np.array_equal(winners, scores.argmax(axis=2).T)
         if exact:
             assert np.array_equal(won, scores.max(axis=2).T)
@@ -621,13 +622,77 @@ def test_backup_skips_only_pairs_that_cannot_win(model):
         p = build_pomdp(default_scenario())
         points = sample_beliefs_uniform(p.num_states, 100, seed=7)
     previous = solve(p, points, max_iter=5).value_function.matrix
-    values, _ = pbvi._best_responses(p, previous, points.matrix)
+    values, _ = pbvi._best_responses(p, previous, pbvi._BackupContext(p, points.matrix, len(previous)))
     skipped = np.isneginf(values)
     expected = oracle_action_values(p, previous, points.matrix)
     assert skipped.any() and not skipped.all(axis=1).any()
     best = expected.max(axis=1, keepdims=True)
     assert np.all((expected < best - 1e-12)[skipped])
     assert np.allclose(values[~skipped], expected[~skipped], rtol=0, atol=1e-9)
+
+
+def test_backup_refuses_points_or_a_value_function_with_another_state_count():
+    p = build_pomdp(tiny_scenario())
+    with pytest.raises(ValueError, match="belief points have 4 states, the model 9"):
+        backup(p, initialize_value(p), sample_beliefs_uniform(4, 5, seed=0))
+    with pytest.raises(ValueError, match="value function has 4 states, the model 9"):
+        backup(p, ValueFunction.from_arrays(np.zeros((1, 4)), [0]), sample_beliefs_uniform(9, 5, seed=0))
+
+
+def test_solve_refuses_points_with_another_state_count():
+    p = build_pomdp(tiny_scenario())
+    with pytest.raises(ValueError, match="belief points have 4 states, the model 9"):
+        solve(p, sample_beliefs_uniform(4, 5, seed=0))
+
+
+@functools.cache
+def context_model(model: str):
+    """(model, points, vectors of a short solve) for the shared-context test;
+    every array in it is read-only."""
+    if model == "grid":
+        p, points = build_pomdp(tiny_scenario()), sample_beliefs_uniform(9, 40, seed=37)
+    elif model == "stock":
+        p = build_pomdp(default_scenario())
+        points = sample_beliefs_uniform(p.num_states, 30, seed=37)
+    else:
+        p, _ = select_bench_instance(0, 3)
+        points = sample_beliefs_uniform(p.num_states, bench.BenchConfig.solver_points, seed=3)
+    return p, points, solve(p, points, max_iter=6).value_function.matrix
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    model=st.sampled_from(["grid", "stock", "select-bench"]),
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(2, 50), min_size=2, max_size=4, unique=True),
+    elements=st.sampled_from([64, 1 << 10, pbvi._BLOCK_ELEMENTS]),
+)
+def test_backups_through_one_context_equal_backups_through_fresh_ones(model, seed, sizes, elements):
+    # `solve` runs every backup through one context, whose scratch keeps
+    # what the last backup left; each must still equal a backup that starts
+    # afresh, bit for bit.  K grows, shrinks, then drops to 1, and each
+    # previous set is a new noisy draw of solved vectors, so the pairs the
+    # action bounds skip change from call to call.
+    p, points, solved = context_model(model)
+    rng = np.random.default_rng(seed)
+    steps = sorted(sizes) + sorted(sizes, reverse=True)[1:] + [1]
+    skips = []
+    with mock.patch.object(pbvi, "_BLOCK_ELEMENTS", elements):
+        shared = pbvi._BackupContext(p, points.matrix, steps[0])
+        for k in steps:
+            prev = solved[rng.integers(len(solved), size=k)] + rng.normal(scale=0.05, size=(k, p.num_states))
+            matrix, tags, skipped = pbvi._backup(p, prev, shared)
+            masks = np.isneginf(pbvi._best_responses(p, prev, shared)[0])
+            fresh = pbvi._backup(p, prev, pbvi._BackupContext(p, points.matrix, k))
+            assert np.array_equal(matrix, fresh[0])
+            assert np.array_equal(tags, fresh[1])
+            assert skipped == fresh[2] == np.count_nonzero(masks)
+            skips.append(masks)
+    if model == "select-bench":
+        # Its dense model takes the all-pairs path, which skips nothing.
+        assert not any(mask.any() for mask in skips)
+    else:
+        assert any(not np.array_equal(a, b) for a, b in zip(skips, skips[1:]))
 
 
 # ---------------------------------------------------------------------------
